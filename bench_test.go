@@ -278,7 +278,7 @@ func BenchmarkTraceGenerate(b *testing.B) {
 
 // benchClusterTrace synthesizes the shared 60-job trace used by the
 // ClusterRun benchmark family.
-func benchClusterTrace(b *testing.B) *trace.Trace {
+func benchClusterTrace(b testing.TB) *trace.Trace {
 	b.Helper()
 	tr, err := trace.Generate(trace.Config{
 		Name:     "bench",
@@ -338,53 +338,6 @@ func BenchmarkClusterRun(b *testing.B) { benchClusterRun(b, false) }
 // tracer installed, measuring the cost of recording every scheduler
 // decision plus the periodic per-node samples.
 func BenchmarkClusterRunTraced(b *testing.B) { benchClusterRun(b, true) }
-
-// BenchmarkClusterRunSteady measures the simulator's steady state: the
-// cluster is armed and warmed up once, then every iteration rewinds to the
-// warmup snapshot and re-simulates a one-second window of quantum, control,
-// and sampling activity. Restore reuses live backing arrays and the event
-// arena recycles its slots, so after the priming pass the loop must not
-// allocate — scripts/bench.sh fails the snapshot if allocs/op is nonzero.
-func BenchmarkClusterRunSteady(b *testing.B) {
-	const warmup = 5 * time.Minute
-	const window = time.Second
-	tr := benchClusterTrace(b)
-	sched, err := core.NewVReconfiguration(core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := cluster.Cluster1()
-	cfg.Quantum = 10 * time.Millisecond
-	c, err := cluster.New(cfg, sched)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := c.Start(tr); err != nil {
-		b.Fatal(err)
-	}
-	if err := c.RunToDivergence(warmup); err != nil {
-		b.Fatal(err)
-	}
-	snap, err := c.Snapshot()
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func() {
-		b.Helper()
-		if err := c.Restore(snap); err != nil {
-			b.Fatal(err)
-		}
-		if err := c.RunToDivergence(warmup + window); err != nil {
-			b.Fatal(err)
-		}
-	}
-	run() // prime: backing arrays reach steady-state capacity
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run()
-	}
-}
 
 // benchSeedGrid runs the five-seed sensitivity grid on SPEC-Trace-3 with
 // one worker, either forking each cell off a shared warmup prefix or
@@ -452,7 +405,7 @@ func BenchmarkClusterRunBaseline(b *testing.B) {
 // The slow-ramp programs (apsi, mcf) keep the stall-replay fold busy while
 // the quick-ramp ones (gzip, bzip) add long pressured-flat stretches, so
 // the batched clock runs through all of its pressured regimes.
-func benchPressuredTrace(b *testing.B) *trace.Trace {
+func benchPressuredTrace(b testing.TB) *trace.Trace {
 	b.Helper()
 	tr, err := trace.Generate(trace.Config{
 		Name:     "bench-pressured",
@@ -504,100 +457,155 @@ func BenchmarkClusterRunPressured(b *testing.B) { benchClusterRunPressured(b, fa
 // disabled — the pre-fold cost of a saturated cluster.
 func BenchmarkClusterRunPressuredDense(b *testing.B) { benchClusterRunPressured(b, true) }
 
-// BenchmarkClusterRunSteadyPressured is the steady-state rewind loop of
-// BenchmarkClusterRunSteady on the saturated trace, with the warmup
-// snapshot taken at the residency peak so the re-simulated window runs
-// through TickPressuredBatch. The same zero-alloc contract applies:
-// scripts/bench.sh fails the snapshot if allocs/op is nonzero, pinning
-// the plan cache and fold buffers to their steady-state capacity.
-func BenchmarkClusterRunSteadyPressured(b *testing.B) {
-	const warmup = 4 * time.Minute
-	const window = time.Second
-	tr := benchPressuredTrace(b)
-	sched, err := core.NewVReconfiguration(core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := cluster.Cluster1()
-	cfg.Quantum = 10 * time.Millisecond
-	c, err := cluster.New(cfg, sched)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := c.Start(tr); err != nil {
-		b.Fatal(err)
-	}
-	if err := c.RunToDivergence(warmup); err != nil {
-		b.Fatal(err)
-	}
-	snap, err := c.Snapshot()
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func() {
-		b.Helper()
-		if err := c.Restore(snap); err != nil {
-			b.Fatal(err)
-		}
-		if err := c.RunToDivergence(warmup + window); err != nil {
-			b.Fatal(err)
-		}
-	}
-	run() // prime: fold buffers and plan cache reach steady-state capacity
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run()
-	}
+// Steady-state windows: the cluster is armed and warmed up once, then every
+// iteration rewinds to the warmup snapshot and re-simulates one second of
+// quantum, control and sampling activity. Restore reuses live backing
+// arrays, the event arena recycles its slots, and the control period
+// reuses its pending-queue and audit buffers, so once the buffers reach
+// their steady-state capacity a window must not allocate.
+// TestSteadyStateAllocs enforces that for every window below; the
+// benchmarks report it as allocs/op.
+
+// steadyCase describes one steady-state window.
+type steadyCase struct {
+	name   string
+	warmup time.Duration
+	// blocked requires submissions to be waiting in the pending queue at
+	// the snapshot, so each window retries them.
+	blocked bool
+	setup   func(tb testing.TB) (cluster.Config, *trace.Trace)
 }
 
-// BenchmarkClusterRunSteadyMetrics is the steady-state rewind loop with
-// the full live-telemetry fan-out attached: a stream tracer feeding a
-// metrics series and a flight recorder. It pins the telemetry hot path's
-// allocation contract — folding every event into atomic counters,
-// histograms, partition gauges, and the anomaly ring must not allocate
-// once the series' backing arrays exist. scripts/bench.sh fails the
-// snapshot if allocs/op is nonzero.
-func BenchmarkClusterRunSteadyMetrics(b *testing.B) {
-	const warmup = 5 * time.Minute
-	const window = time.Second
-	tr := benchClusterTrace(b)
-	sched, err := core.NewVReconfiguration(core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
+// steadyCases lists every steady-state window, in benchmark order.
+var steadyCases = []steadyCase{
+	{name: "plain", warmup: 5 * time.Minute, setup: steadyPlain},
+	{name: "pressured", warmup: 4 * time.Minute, setup: steadyPressured},
+	{name: "metrics", warmup: 5 * time.Minute, setup: steadyMetrics},
+	{name: "blocked", warmup: 10 * time.Minute, blocked: true, setup: steadyBlocked},
+	{name: "audit", warmup: 5 * time.Minute, setup: steadyAudit},
+}
+
+// steadyPlain runs the shared 60-job trace on Cluster1 at 10 ms.
+func steadyPlain(tb testing.TB) (cluster.Config, *trace.Trace) {
 	cfg := cluster.Cluster1()
 	cfg.Quantum = 10 * time.Millisecond
+	return cfg, benchClusterTrace(tb)
+}
+
+// steadyPressured snapshots the saturated trace at its residency peak, so
+// the window runs through TickPressuredBatch and pins the plan cache and
+// fold buffers.
+func steadyPressured(tb testing.TB) (cluster.Config, *trace.Trace) {
+	cfg := cluster.Cluster1()
+	cfg.Quantum = 10 * time.Millisecond
+	return cfg, benchPressuredTrace(tb)
+}
+
+// steadyMetrics attaches the full live-telemetry fan-out: a stream tracer
+// feeding a metrics series and a flight recorder. Folding every event into
+// atomic counters, histograms, partition gauges and the anomaly ring must
+// not allocate once the series' backing arrays exist.
+func steadyMetrics(tb testing.TB) (cluster.Config, *trace.Trace) {
+	cfg, tr := steadyPlain(tb)
 	cfg.Obs = obs.NewStreamTracer()
 	cfg.Obs.SetMetrics(obs.NewRegistry().Series("vr", tr.Name, 1))
 	cfg.Obs.SetFlightRecorder(obs.NewFlightRecorder(obs.FlightConfig{}))
+	return cfg, tr
+}
+
+// steadyBlocked runs App-Trace-2 on Cluster2 at vrbench's 100 ms quantum,
+// snapshotted while well over a hundred submissions are blocked, so the
+// window's control tick retries every one of them.
+func steadyBlocked(tb testing.TB) (cluster.Config, *trace.Trace) {
+	tr, err := trace.Standard(workload.Group2, 2, 42)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := cluster.Cluster2()
+	cfg.Quantum = benchQuantum
+	return cfg, tr
+}
+
+// steadyAudit runs the invariant auditor at every control period.
+func steadyAudit(tb testing.TB) (cluster.Config, *trace.Trace) {
+	cfg, tr := steadyPlain(tb)
+	cfg.Audit = true
+	return cfg, tr
+}
+
+// arm builds the case's cluster under V-Reconfiguration, runs it to the
+// warmup instant and snapshots it there. The returned function rewinds to
+// the snapshot and re-simulates the window after it; arm primes it twice,
+// so the pending queue's two alternating buffers both reach capacity.
+func (sc steadyCase) arm(tb testing.TB) func() {
+	tb.Helper()
+	const window = time.Second
+	cfg, tr := sc.setup(tb)
+	sched, err := core.NewVReconfiguration(core.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
 	c, err := cluster.New(cfg, sched)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := c.Start(tr); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	if err := c.RunToDivergence(warmup); err != nil {
-		b.Fatal(err)
+	if err := c.RunToDivergence(sc.warmup); err != nil {
+		tb.Fatal(err)
+	}
+	if sc.blocked && c.PendingCount() == 0 {
+		tb.Fatalf("%s: no blocked submissions at %v", sc.name, sc.warmup)
 	}
 	snap, err := c.Snapshot()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	run := func() {
-		b.Helper()
 		if err := c.Restore(snap); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		if err := c.RunToDivergence(warmup + window); err != nil {
-			b.Fatal(err)
+		if err := c.RunToDivergence(sc.warmup + window); err != nil {
+			tb.Fatal(err)
 		}
 	}
-	run() // prime: series partitions and ring reach steady-state capacity
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run()
-	}
+	run()
+	run()
+	return run
 }
+
+func benchSteady(b *testing.B, name string) {
+	for _, sc := range steadyCases {
+		if sc.name != name {
+			continue
+		}
+		run := sc.arm(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			run()
+		}
+		return
+	}
+	b.Fatalf("no steady case %q", name)
+}
+
+// BenchmarkClusterRunSteady measures the plain steady-state window.
+func BenchmarkClusterRunSteady(b *testing.B) { benchSteady(b, "plain") }
+
+// BenchmarkClusterRunSteadyPressured measures the window on the saturated
+// trace at its residency peak.
+func BenchmarkClusterRunSteadyPressured(b *testing.B) { benchSteady(b, "pressured") }
+
+// BenchmarkClusterRunSteadyMetrics measures the window with live telemetry
+// attached.
+func BenchmarkClusterRunSteadyMetrics(b *testing.B) { benchSteady(b, "metrics") }
+
+// BenchmarkClusterRunSteadyBlocked measures a window whose control tick
+// retries a long pending queue.
+func BenchmarkClusterRunSteadyBlocked(b *testing.B) { benchSteady(b, "blocked") }
+
+// BenchmarkClusterRunSteadyAudit measures the window with the invariant
+// auditor on.
+func BenchmarkClusterRunSteadyAudit(b *testing.B) { benchSteady(b, "audit") }

@@ -35,7 +35,7 @@ import (
 type NodeView struct {
 	ID       int
 	Resident []int // resident job IDs
-	Expected []int // job IDs with in-flight migration holds
+	Held     int   // in-flight migration holds
 	Reserved bool
 	Down     bool
 	Draining bool
@@ -46,7 +46,9 @@ type NodeView struct {
 }
 
 // Snapshot is the cluster state the auditor checks, expressed entirely in
-// value types so the audit layer cannot mutate the simulation.
+// value types so the audit layer cannot mutate the simulation. Check reads
+// it and keeps no reference to its slices, so a caller may refill the same
+// Snapshot for every check.
 type Snapshot struct {
 	Now time.Duration
 
@@ -84,6 +86,38 @@ type Auditor struct {
 	checks      int
 	violations  []Violation
 	onViolation func(Violation)
+
+	// seen maps a job ID to where Check first found it. It is reused
+	// across checks and cleared at the start of each.
+	seen map[int]location
+}
+
+// Kinds of place a job can be found in.
+const (
+	inResident uint8 = iota
+	inPending
+	inStranded
+	inWire
+)
+
+// location is where Check found a job: a kind, plus the workstation for
+// residents. It is formatted only when a violation is reported.
+type location struct {
+	kind uint8
+	node int
+}
+
+func (l location) String() string {
+	switch l.kind {
+	case inResident:
+		return fmt.Sprintf("resident on node %d", l.node)
+	case inPending:
+		return "pending queue"
+	case inStranded:
+		return "stranded pool"
+	default:
+		return "migration wire"
+	}
 }
 
 // SetOnViolation installs a hook invoked synchronously for every recorded
@@ -93,7 +127,7 @@ type Auditor struct {
 func (a *Auditor) SetOnViolation(fn func(Violation)) { a.onViolation = fn }
 
 // New builds an auditor.
-func New() *Auditor { return &Auditor{} }
+func New() *Auditor { return &Auditor{seen: make(map[int]location)} }
 
 // Checks reports how many snapshots have been audited.
 func (a *Auditor) Checks() int { return a.checks }
@@ -133,37 +167,29 @@ func (a *Auditor) fail(at time.Duration, invariant, format string, args ...any) 
 func (a *Auditor) Check(s Snapshot) error {
 	a.checks++
 
-	// Job conservation and duplicate detection. seen maps job ID to a
-	// description of where it was first found.
-	seen := make(map[int]string)
-	place := func(id int, where string) error {
-		if prev, ok := seen[id]; ok {
-			return a.fail(s.Now, "job uniqueness", "job %d in %s and %s", id, prev, where)
-		}
-		seen[id] = where
-		return nil
-	}
+	// Job conservation and duplicate detection.
+	clear(a.seen)
 	resident := 0
 	for _, n := range s.Nodes {
 		for _, id := range n.Resident {
-			if err := place(id, fmt.Sprintf("resident on node %d", n.ID)); err != nil {
+			if err := a.place(s.Now, id, location{inResident, n.ID}); err != nil {
 				return err
 			}
 			resident++
 		}
 	}
 	for _, id := range s.Pending {
-		if err := place(id, "pending queue"); err != nil {
+		if err := a.place(s.Now, id, location{kind: inPending}); err != nil {
 			return err
 		}
 	}
 	for _, id := range s.Stranded {
-		if err := place(id, "stranded pool"); err != nil {
+		if err := a.place(s.Now, id, location{kind: inStranded}); err != nil {
 			return err
 		}
 	}
 	for _, id := range s.Wire {
-		if err := place(id, "migration wire"); err != nil {
+		if err := a.place(s.Now, id, location{kind: inWire}); err != nil {
 			return err
 		}
 	}
@@ -179,10 +205,10 @@ func (a *Auditor) Check(s Snapshot) error {
 	// Per-node accounting and membership integrity.
 	for _, n := range s.Nodes {
 		if n.Removed {
-			if len(n.Resident) > 0 || len(n.Expected) > 0 {
+			if len(n.Resident) > 0 || n.Held > 0 {
 				return a.fail(s.Now, "removed-node emptiness",
 					"removed node %d holds %d resident and %d expected jobs",
-					n.ID, len(n.Resident), len(n.Expected))
+					n.ID, len(n.Resident), n.Held)
 			}
 			if n.Reserved {
 				return a.fail(s.Now, "lease integrity", "removed node %d is reserved", n.ID)
@@ -200,12 +226,22 @@ func (a *Auditor) Check(s Snapshot) error {
 			return a.fail(s.Now, "memory accounting",
 				"node %d idle %.3f MB outside [0, %.3f]", n.ID, n.IdleMB, n.UserMB)
 		}
-		if len(n.Resident)+len(n.Expected) > n.Slots {
+		if len(n.Resident)+n.Held > n.Slots {
 			return a.fail(s.Now, "slot discipline",
 				"node %d holds %d resident + %d expected over %d slots",
-				n.ID, len(n.Resident), len(n.Expected), n.Slots)
+				n.ID, len(n.Resident), n.Held, n.Slots)
 		}
 	}
+	return nil
+}
+
+// place records that job id was found at loc, failing if it was already
+// found somewhere else in this check.
+func (a *Auditor) place(now time.Duration, id int, loc location) error {
+	if prev, ok := a.seen[id]; ok {
+		return a.fail(now, "job uniqueness", "job %d in %s and %s", id, prev, loc)
+	}
+	a.seen[id] = loc
 	return nil
 }
 

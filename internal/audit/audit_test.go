@@ -35,51 +35,58 @@ func TestCheckCleanSnapshot(t *testing.T) {
 }
 
 // TestCheckFlagsEachInvariant breaks one invariant per case and expects the
-// auditor to name exactly that invariant.
+// auditor to name exactly that invariant. Where detail is set, the whole
+// message is pinned too.
 func TestCheckFlagsEachInvariant(t *testing.T) {
 	cases := []struct {
 		name      string
 		invariant string
+		detail    string
 		mutate    func(*Snapshot)
 	}{
-		{"lost job", "job conservation", func(s *Snapshot) { s.Arrived++ }},
-		{"phantom job", "job conservation", func(s *Snapshot) { s.Arrived-- }},
-		{"duplicated across nodes", "job uniqueness", func(s *Snapshot) {
-			s.Nodes[1].Resident = []int{12}
-		}},
-		{"resident and pending", "job uniqueness", func(s *Snapshot) {
-			s.Pending = append(s.Pending, 12)
-		}},
-		{"wire and stranded", "job uniqueness", func(s *Snapshot) {
-			s.Stranded = append(s.Stranded, 11)
-		}},
-		{"removed node holds job", "removed-node emptiness", func(s *Snapshot) {
+		{"lost job", "job conservation", "", func(s *Snapshot) { s.Arrived++ }},
+		{"phantom job", "job conservation", "", func(s *Snapshot) { s.Arrived-- }},
+		{"duplicated across nodes", "job uniqueness",
+			"job 12 in resident on node 0 and resident on node 1", func(s *Snapshot) {
+				s.Nodes[1].Resident = []int{12}
+			}},
+		{"resident and pending", "job uniqueness",
+			"job 12 in resident on node 0 and pending queue", func(s *Snapshot) {
+				s.Pending = append(s.Pending, 12)
+			}},
+		{"wire and stranded", "job uniqueness",
+			"job 11 in stranded pool and migration wire", func(s *Snapshot) {
+				s.Stranded = append(s.Stranded, 11)
+			}},
+		{"removed node holds job", "removed-node emptiness", "", func(s *Snapshot) {
 			s.Nodes[0].Removed = true
 		}},
-		{"removed node holds hold", "removed-node emptiness", func(s *Snapshot) {
-			s.Nodes[1].Removed = true
-			s.Nodes[1].Expected = []int{99}
-		}},
-		{"removed node reserved", "lease integrity", func(s *Snapshot) {
+		{"removed node holds hold", "removed-node emptiness",
+			"removed node 1 holds 0 resident and 1 expected jobs", func(s *Snapshot) {
+				s.Nodes[1].Removed = true
+				s.Nodes[1].Held = 1
+			}},
+		{"removed node reserved", "lease integrity", "", func(s *Snapshot) {
 			s.Nodes[1].Removed = true
 			s.Nodes[1].Reserved = true
 		}},
-		{"removed while draining", "membership lifecycle", func(s *Snapshot) {
+		{"removed while draining", "membership lifecycle", "", func(s *Snapshot) {
 			s.Nodes[1].Removed = true
 			s.Nodes[1].Draining = true
 		}},
-		{"down node holds job", "crash emptiness", func(s *Snapshot) {
+		{"down node holds job", "crash emptiness", "", func(s *Snapshot) {
 			s.Nodes[0].Down = true
 		}},
-		{"negative idle", "memory accounting", func(s *Snapshot) {
+		{"negative idle", "memory accounting", "", func(s *Snapshot) {
 			s.Nodes[0].IdleMB = -1
 		}},
-		{"idle above capacity", "memory accounting", func(s *Snapshot) {
+		{"idle above capacity", "memory accounting", "", func(s *Snapshot) {
 			s.Nodes[0].IdleMB = s.Nodes[0].UserMB + 1
 		}},
-		{"slot overflow", "slot discipline", func(s *Snapshot) {
-			s.Nodes[0].Expected = []int{20, 21, 22, 23}
-		}},
+		{"slot overflow", "slot discipline",
+			"node 0 holds 1 resident + 4 expected over 4 slots", func(s *Snapshot) {
+				s.Nodes[0].Held = 4
+			}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -97,6 +104,9 @@ func TestCheckFlagsEachInvariant(t *testing.T) {
 			if v.Invariant != tc.invariant {
 				t.Errorf("flagged %q, want %q (%v)", v.Invariant, tc.invariant, err)
 			}
+			if tc.detail != "" && v.Detail != tc.detail {
+				t.Errorf("detail %q, want %q", v.Detail, tc.detail)
+			}
 			if v.At != time.Minute || !strings.Contains(err.Error(), "1m") {
 				t.Errorf("violation lost the virtual time: %v", err)
 			}
@@ -104,6 +114,26 @@ func TestCheckFlagsEachInvariant(t *testing.T) {
 				t.Errorf("recorded %d violations, want 1", len(a.Violations()))
 			}
 		})
+	}
+}
+
+// TestCheckReusesSeenSet runs one auditor over a violating snapshot and
+// then a clean one: the jobs found by the first check must not leak into
+// the second.
+func TestCheckReusesSeenSet(t *testing.T) {
+	a := New()
+	dup := clean()
+	dup.Pending = append(dup.Pending, 12)
+	if err := a.Check(dup); err == nil {
+		t.Fatal("duplicated job passed the audit")
+	}
+	for i := 0; i < 2; i++ {
+		if err := a.Check(clean()); err != nil {
+			t.Fatalf("clean snapshot flagged after a violation (check %d): %v", i+2, err)
+		}
+	}
+	if a.Checks() != 3 || len(a.Violations()) != 1 {
+		t.Errorf("checks %d violations %d, want 3 and 1", a.Checks(), len(a.Violations()))
 	}
 }
 

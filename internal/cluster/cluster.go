@@ -232,6 +232,7 @@ type Cluster struct {
 	col    *metrics.Collector
 
 	pending     []pendingSubmission
+	pendingNext []pendingSubmission // retryPending's spare buffer, always empty
 	stranded    []strandedMigration
 	outstanding int
 	timedOut    bool
@@ -263,6 +264,7 @@ type Cluster struct {
 	remoteInFlight int
 	scaledAt       time.Duration
 	auditor        *audit.Auditor
+	auditSnap      audit.Snapshot // refilled for every check
 
 	// active is a bitmask of workstations with resident jobs, maintained
 	// through the nodes' residency watchers; quantumTick visits only set
@@ -1459,19 +1461,25 @@ func (c *Cluster) degradePending(now time.Duration) {
 	c.pending = remaining
 }
 
+// retryPending offers every blocked submission to the policy again, in
+// FIFO order. The queue is double-buffered: the sweep refills the spare
+// buffer, and the swept one is cleared and kept as the next spare, so a
+// steady control period allocates nothing.
 func (c *Cluster) retryPending() {
 	if len(c.pending) == 0 {
 		return
 	}
 	queue := c.pending
-	c.pending = nil
-	for i, p := range queue {
+	c.pending = c.pendingNext
+	for _, p := range queue {
 		target, remote, ok := c.sched.Place(c, p.j, p.home)
 		if !ok {
 			// Preserve FIFO order for everything still blocked.
-			c.pending = append(c.pending, queue[i])
+			c.pending = append(c.pending, p)
 			continue
 		}
 		c.place(p.j, p.home, target, remote)
 	}
+	clear(queue)
+	c.pendingNext = queue[:0]
 }

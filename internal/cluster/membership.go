@@ -7,6 +7,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -375,14 +376,15 @@ func (c *Cluster) effectiveHome(home int) int {
 	return home
 }
 
-// auditSnapshot assembles the invariant auditor's view of the cluster.
+// auditSnapshot refills the invariant auditor's view of the cluster. The
+// snapshot and its slices are owned by the cluster and reused by every
+// check; the auditor keeps no reference to them past Check.
 func (c *Cluster) auditSnapshot() audit.Snapshot {
-	s := audit.Snapshot{
-		Now:            c.engine.Now(),
-		Arrived:        c.arrived,
-		RemoteInFlight: c.remoteInFlight,
-		Nodes:          make([]audit.NodeView, len(c.nodes)),
-	}
+	s := &c.auditSnap
+	s.Now = c.engine.Now()
+	s.Arrived = c.arrived
+	s.Done, s.Killed = 0, 0
+	s.RemoteInFlight = c.remoteInFlight
 	for _, j := range c.ranJobs {
 		switch j.State() {
 		case job.StateDone:
@@ -391,23 +393,33 @@ func (c *Cluster) auditSnapshot() audit.Snapshot {
 			s.Killed++
 		}
 	}
+	s.Pending = s.Pending[:0]
 	for _, p := range c.pending {
 		s.Pending = append(s.Pending, p.j.ID)
 	}
+	s.Stranded = s.Stranded[:0]
 	for _, st := range c.stranded {
 		s.Stranded = append(s.Stranded, st.j.ID)
 	}
-	s.Wire = sortedKeys(c.wire)
+	s.Wire = s.Wire[:0]
+	for id := range c.wire {
+		s.Wire = append(s.Wire, id)
+	}
+	slices.Sort(s.Wire)
+	if extra := len(c.nodes) - cap(s.Nodes); extra > 0 {
+		// Grow past the old views so their Resident buffers survive.
+		s.Nodes = append(s.Nodes[:cap(s.Nodes)], make([]audit.NodeView, extra)...)
+	}
+	s.Nodes = s.Nodes[:len(c.nodes)]
 	for i, n := range c.nodes {
-		resident := n.Jobs()
-		ids := make([]int, len(resident))
-		for k, j := range resident {
-			ids[k] = j.ID
+		ids := s.Nodes[i].Resident[:0]
+		for k := 0; k < n.NumJobs(); k++ {
+			ids = append(ids, n.JobAt(k).ID)
 		}
 		s.Nodes[i] = audit.NodeView{
 			ID:       n.ID(),
 			Resident: ids,
-			Expected: n.ExpectedJobs(),
+			Held:     n.ExpectedCount(),
 			Reserved: n.Reserved(),
 			Down:     n.Down(),
 			Draining: n.Draining(),
@@ -417,5 +429,5 @@ func (c *Cluster) auditSnapshot() audit.Snapshot {
 			Slots:    n.Config().CPUThreshold,
 		}
 	}
-	return s
+	return *s
 }

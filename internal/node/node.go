@@ -401,18 +401,6 @@ func (n *Node) CancelExpected(jobID int) error {
 // ExpectedCount reports migrations currently in flight toward this node.
 func (n *Node) ExpectedCount() int { return len(n.incoming) }
 
-// ExpectedJobs returns the IDs of jobs with in-flight holds on this node in
-// ascending order (the invariant auditor cross-checks them against the
-// memory manager's registrations).
-func (n *Node) ExpectedJobs() []int {
-	ids := make([]int, 0, len(n.incoming))
-	for id := range n.incoming {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
 // IdleMB reports idle user memory.
 func (n *Node) IdleMB() float64 { return n.mem.IdleMB() }
 

@@ -39,21 +39,6 @@ echo "== go test -bench $PATTERN -benchtime=$BENCHTIME -count=$COUNT"
 go test -run '^$' -bench "$PATTERN" -benchmem -benchtime "$BENCHTIME" \
     -count "$COUNT" . | tee "$raw"
 
-# Allocation-regression guard: the steady-state benchmarks (plain,
-# pressured, and metrics-fed) rewind to a warmup snapshot and re-simulate
-# in place, which must not allocate once backing arrays reach capacity.
-# Any allocs/op > 0 is a regression in the snapshot/restore reuse, a
-# batched quantum path, or the streaming metrics hot path.
-if grep -qE '^BenchmarkClusterRunSteady' "$raw"; then
-    if grep -E '^BenchmarkClusterRunSteady' "$raw" |
-        awk '{ for (i = 1; i < NF; i++) if ($(i+1) == "allocs/op" && $i + 0 > 0) exit 1 }'; then
-        :
-    else
-        echo "bench.sh: a BenchmarkClusterRunSteady* variant allocates in steady state" >&2
-        exit 1
-    fi
-fi
-
 label=$(git rev-parse --short HEAD 2>/dev/null || echo dev)
 PAIR=BenchmarkClusterRun=BenchmarkClusterRunTraced,BenchmarkSeedGridFresh=BenchmarkSeedGridFork,BenchmarkClusterRunPressuredDense=BenchmarkClusterRunPressured
 

@@ -4,7 +4,8 @@
 # parallel-vs-sequential determinism tests (internal/experiments) and the
 # runner stress test (internal/runner). The fault-injection and lease
 # packages get a second -count=2 pass (catches cross-run state leakage in
-# the seeded fault streams), a vrsim run with every fault dimension
+# the seeded fault streams), the steady-state zero-allocation guard runs
+# without the race detector, a vrsim run with every fault dimension
 # enabled smoke-tests self-healing end to end, and a level-1 chaos grid
 # (membership churn + domain faults, invariant auditor on) must complete
 # with zero violations.
@@ -35,6 +36,10 @@ echo "== go test -race ./..."
 go test -race -timeout 45m ./...
 echo "== go test -race -count=2 ./internal/faults/... ./internal/core/..."
 go test -race -timeout 45m -count=2 ./internal/faults/... ./internal/core/...
+# The race build leaves the zero-allocation guard out (its instrumentation
+# allocates), so the guard runs once more without it.
+echo "== go test -run TestSteadyStateAllocs ."
+go test -count=1 -run '^TestSteadyStateAllocs$' .
 echo "== fault-sweep smoke run (cmd/vrsim)"
 go run ./cmd/vrsim -group 2 -level 1 -policy vr -faults \
     -mtbf 20m -crash requeue -droprate 0.1 -abortrate 0.2 -lease 30s \
