@@ -115,6 +115,17 @@ func TestErrors(t *testing.T) {
 	if err := run([]string{"-inspect", "/nonexistent.json"}); err == nil {
 		t.Error("missing inspect file should fail")
 	}
+	// A non-finite lognormal parameter fails before synthesis, naming
+	// the field, instead of surfacing later as a bad submit time or an
+	// unencodable trace.
+	out := filepath.Join(t.TempDir(), "nan.json")
+	err := run([]string{"-jobs", "5", "-duration", "10m", "-sigma", "2", "-mu", "NaN", "-o", out})
+	if err == nil || !strings.Contains(err.Error(), "mu must be finite") {
+		t.Errorf("-mu NaN: err = %v, want a finite-mu error", err)
+	}
+	if _, statErr := os.Stat(out); statErr == nil {
+		t.Error("-mu NaN still wrote an output file")
+	}
 }
 
 // TestInspectJSONLEvents covers the event-stream inspect path: a .jsonl

@@ -205,6 +205,14 @@ func (l Lognormal) SampleTruncated(rng *rand.Rand, upper float64) float64 {
 }
 
 // Quantile inverts the CDF by bisection. p must be in (0, 1).
+//
+// The bisection stops at its fixed point: the first step that leaves both
+// lo and hi unchanged. That is exact, not an approximation. Each step is a
+// deterministic function of (lo, hi), so once a step changes neither,
+// every later step computes the same mid and the same CDF and makes the
+// same assignment; the result is bit-identical to running all 200 steps.
+// The 200-step cap still bounds the loop for NaN bounds, which never
+// compare equal.
 func (l Lognormal) Quantile(p float64) float64 {
 	if p <= 0 {
 		return 0
@@ -213,7 +221,7 @@ func (l Lognormal) Quantile(p float64) float64 {
 		return math.Inf(1)
 	}
 	// Bracket the root: the median is exp(mu); expand both directions.
-	lo, hi := math.Exp(l.Mu), math.Exp(l.Mu)
+	lo, hi := medianStart(l.Mu), medianStart(l.Mu)
 	for l.CDF(lo) > p {
 		lo /= 2
 		if lo < 1e-300 {
@@ -229,10 +237,30 @@ func (l Lognormal) Quantile(p float64) float64 {
 	for i := 0; i < 200; i++ {
 		mid := (lo + hi) / 2
 		if l.CDF(mid) < p {
+			if lo == mid {
+				break
+			}
 			lo = mid
 		} else {
+			if hi == mid {
+				break
+			}
 			hi = mid
 		}
 	}
 	return (lo + hi) / 2
+}
+
+// medianStart is the bracket's starting point, exp(mu). A median that
+// underflows to 0 or overflows to +Inf would never move under halving or
+// doubling, so it starts from the bracket's limit instead.
+func medianStart(mu float64) float64 {
+	m := math.Exp(mu)
+	switch {
+	case m == 0:
+		return 1e-300
+	case math.IsInf(m, 1):
+		return 1e300
+	}
+	return m
 }

@@ -204,6 +204,119 @@ func TestLognormalQuantileInvertsCDF(t *testing.T) {
 	}
 }
 
+// referenceQuantile is Quantile without the fixed-point stop: the same
+// bracket, then all 200 bisection steps unconditionally.
+func referenceQuantile(l Lognormal, p float64) float64 {
+	if p <= 0 {
+		return 0
+	}
+	if p >= 1 {
+		return math.Inf(1)
+	}
+	lo, hi := medianStart(l.Mu), medianStart(l.Mu)
+	for l.CDF(lo) > p {
+		lo /= 2
+		if lo < 1e-300 {
+			break
+		}
+	}
+	for l.CDF(hi) < p {
+		hi *= 2
+		if hi > 1e300 {
+			break
+		}
+	}
+	for i := 0; i < 200; i++ {
+		mid := (lo + hi) / 2
+		if l.CDF(mid) < p {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return (lo + hi) / 2
+}
+
+// quantileEdges are probabilities at the ends of (0, 1) and its middle:
+// the smallest subnormal, a tiny normal, one below float64's resolution
+// at 1, one half, and the largest float64 below 1.
+var quantileEdges = []float64{5e-324, 1e-300, 1e-17, 0.5, 1 - 0x1p-53}
+
+// TestQuantileMatchesReference checks Quantile bit for bit against the
+// 200-step reference on every distribution the trace generator samples:
+// the five standard levels (sigma = mu, truncated at the level's window
+// in minutes) and the sigma = mu = 2 and 3 custom configurations.
+func TestQuantileMatchesReference(t *testing.T) {
+	cases := []struct {
+		sigma, upper float64
+	}{
+		{4, 3586.0 / 60},
+		{3.7, 3589.0 / 60},
+		{3, 3581.0 / 60},
+		{2, 3585.0 / 60},
+		{1.5, 3582.0 / 60},
+		{2, 5},
+		{3, 30},
+	}
+	const draws = 10000
+	for _, c := range cases {
+		l := Lognormal{Mu: c.sigma, Sigma: c.sigma}
+		cu := l.CDF(c.upper)
+		rng := rand.New(rand.NewSource(1))
+		ps := append([]float64(nil), quantileEdges...)
+		for i := 0; i < draws; i++ {
+			ps = append(ps, rng.Float64()*cu)
+		}
+		for _, p := range ps {
+			got, want := l.Quantile(p), referenceQuantile(l, p)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("sigma=mu=%v upper=%v: Quantile(%v) = %v, reference %v", c.sigma, c.upper, p, got, want)
+			}
+		}
+	}
+}
+
+// TestQuantileExtremeMedian covers medians exp(mu) that underflow to 0 or
+// overflow to +Inf, which halving and doubling cannot move: Quantile must
+// still return a finite, positive value. Accuracy is not checked; 200
+// arithmetic bisection steps cannot resolve a bracket that spans hundreds
+// of decades.
+func TestQuantileExtremeMedian(t *testing.T) {
+	for _, tc := range []struct{ mu, p float64 }{{1000, 0.1}, {-1000, 0.9}} {
+		q := Lognormal{Mu: tc.mu, Sigma: 1000}.Quantile(tc.p)
+		if !(q > 0) || math.IsInf(q, 1) {
+			t.Errorf("mu=%v: Quantile(%v) = %v, want finite and positive", tc.mu, tc.p, q)
+		}
+	}
+}
+
+// FuzzQuantile checks Quantile bit for bit against the 200-step reference
+// for any mu, sigma and p, non-finite ones included.
+func FuzzQuantile(f *testing.F) {
+	for _, s := range []float64{4, 3.7, 3, 2, 1.5} {
+		for _, p := range quantileEdges {
+			f.Add(s, s, p)
+		}
+	}
+	f.Add(2.0, 2.0, 0.3)
+	f.Add(1000.0, 1000.0, 0.1)
+	f.Add(-1000.0, 1000.0, 0.9)
+	f.Add(0.0, -1.0, 0.5)
+	f.Add(0.0, 0.0, 0.5)
+	f.Add(math.NaN(), 1.0, 0.5)
+	f.Add(1.0, math.NaN(), 0.5)
+	f.Add(1.0, math.Inf(1), 0.5)
+	f.Add(math.Inf(-1), 1.0, 0.5)
+	f.Add(1.0, 1.0, math.NaN())
+	f.Fuzz(func(t *testing.T, mu, sigma, p float64) {
+		l := Lognormal{Mu: mu, Sigma: sigma}
+		got, want := l.Quantile(p), referenceQuantile(l, p)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Lognormal{%v, %v}.Quantile(%v) = %v, reference %v", mu, sigma, p, got, want)
+		}
+	})
+}
+
 func TestSampleTruncated(t *testing.T) {
 	l := Lognormal{Mu: 4, Sigma: 4}
 	rng := rand.New(rand.NewSource(1))

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -76,8 +77,12 @@ func Generate(cfg Config) (*Trace, error) {
 		return nil, errors.New("trace: duration must be positive")
 	case cfg.Nodes <= 0:
 		return nil, errors.New("trace: node count must be positive")
+	case math.IsNaN(cfg.Sigma) || math.IsInf(cfg.Sigma, 0):
+		return nil, fmt.Errorf("trace: sigma must be finite, got %v", cfg.Sigma)
 	case cfg.Sigma <= 0:
 		return nil, errors.New("trace: sigma must be positive")
+	case math.IsNaN(cfg.Mu) || math.IsInf(cfg.Mu, 0):
+		return nil, fmt.Errorf("trace: mu must be finite, got %v", cfg.Mu)
 	}
 	programs := workload.Programs(cfg.Group)
 	if len(programs) == 0 {

@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -18,19 +20,30 @@ func TestGenerateValidation(t *testing.T) {
 	tests := []struct {
 		name   string
 		mutate func(*Config)
+		want   string // substring the error must contain, if any
 	}{
-		{"zero jobs", func(c *Config) { c.Jobs = 0 }},
-		{"zero duration", func(c *Config) { c.Duration = 0 }},
-		{"zero nodes", func(c *Config) { c.Nodes = 0 }},
-		{"zero sigma", func(c *Config) { c.Sigma = 0 }},
-		{"bad group", func(c *Config) { c.Group = 42 }},
+		{"zero jobs", func(c *Config) { c.Jobs = 0 }, ""},
+		{"zero duration", func(c *Config) { c.Duration = 0 }, ""},
+		{"zero nodes", func(c *Config) { c.Nodes = 0 }, ""},
+		{"zero sigma", func(c *Config) { c.Sigma = 0 }, "sigma"},
+		{"NaN sigma", func(c *Config) { c.Sigma = math.NaN() }, "sigma must be finite"},
+		{"+Inf sigma", func(c *Config) { c.Sigma = math.Inf(1) }, "sigma must be finite"},
+		{"-Inf sigma", func(c *Config) { c.Sigma = math.Inf(-1) }, "sigma must be finite"},
+		{"NaN mu", func(c *Config) { c.Mu = math.NaN() }, "mu must be finite"},
+		{"+Inf mu", func(c *Config) { c.Mu = math.Inf(1) }, "mu must be finite"},
+		{"-Inf mu", func(c *Config) { c.Mu = math.Inf(-1) }, "mu must be finite"},
+		{"bad group", func(c *Config) { c.Group = 42 }, ""},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			cfg := base
 			tt.mutate(&cfg)
-			if _, err := Generate(cfg); err == nil {
-				t.Error("expected error")
+			_, err := Generate(cfg)
+			if err == nil {
+				t.Fatal("expected error")
+			}
+			if !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("error %q does not mention %q", err, tt.want)
 			}
 		})
 	}

@@ -5,7 +5,8 @@
 # runner stress test (internal/runner). The fault-injection and lease
 # packages get a second -count=2 pass (catches cross-run state leakage in
 # the seeded fault streams), the steady-state zero-allocation guard runs
-# without the race detector, a vrsim run with every fault dimension
+# without the race detector, the benchmark module's tests (bench/) check
+# its result goldens, a vrsim run with every fault dimension
 # enabled smoke-tests self-healing end to end, and a level-1 chaos grid
 # (membership churn + domain faults, invariant auditor on) must complete
 # with zero violations.
@@ -40,6 +41,11 @@ go test -race -timeout 45m -count=2 ./internal/faults/... ./internal/core/...
 # allocates), so the guard runs once more without it.
 echo "== go test -run TestSteadyStateAllocs ."
 go test -count=1 -run '^TestSteadyStateAllocs$' .
+# bench/ is its own module, so go test ./... above does not reach it. Its
+# goldens pin the result digests of all four benchmark workloads at seeds
+# 42 and 7.
+echo "== (cd bench && go test ./...)"
+(cd bench && go test -count=1 ./...)
 echo "== fault-sweep smoke run (cmd/vrsim)"
 go run ./cmd/vrsim -group 2 -level 1 -policy vr -faults \
     -mtbf 20m -crash requeue -droprate 0.1 -abortrate 0.2 -lease 30s \
