@@ -402,9 +402,10 @@ func BenchmarkClusterRunBaseline(b *testing.B) {
 // pressured ClusterRun benchmarks: the Group1 mix restricted to its four
 // largest working sets at ~3 resident jobs per workstation at the
 // saturation peak, so demand sits above user memory for most of the run.
-// The slow-ramp programs (apsi, mcf) keep the stall-replay fold busy while
-// the quick-ramp ones (gzip, bzip) add long pressured-flat stretches, so
-// the batched clock runs through all of its pressured regimes.
+// The slow-ramp programs (apsi, mcf) keep the quantum fold stepping through
+// pressured ramps while the quick-ramp ones (gzip, bzip) add long
+// pressured-flat stretches, so the fold runs through all of its pressured
+// regimes.
 func benchPressuredTrace(b testing.TB) *trace.Trace {
 	b.Helper()
 	tr, err := trace.Generate(trace.Config{
@@ -426,7 +427,7 @@ func benchPressuredTrace(b testing.TB) *trace.Trace {
 
 // benchClusterRunPressured runs the saturated trace under the full
 // V-Reconfiguration stack; dense forces quantum-by-quantum ticking so the
-// pair isolates the stall-replay fold's gain (DESIGN.md §12).
+// pair isolates the quantum fold's gain (DESIGN.md §12).
 func benchClusterRunPressured(b *testing.B, dense bool) {
 	tr := benchPressuredTrace(b)
 	b.ResetTimer()
@@ -449,8 +450,8 @@ func benchClusterRunPressured(b *testing.B, dense bool) {
 }
 
 // BenchmarkClusterRunPressured measures a pressure-heavy trace execution
-// with the batched quantum clock, including the pressured stall-replay
-// fold. BENCH_8.json pairs it with the forced-dense variant below.
+// with the batched quantum clock, whose quantum fold covers the pressured
+// stretches too. BENCH_8.json pairs it with the forced-dense variant below.
 func BenchmarkClusterRunPressured(b *testing.B) { benchClusterRunPressured(b, false) }
 
 // BenchmarkClusterRunPressuredDense is the same execution with batching
@@ -493,8 +494,8 @@ func steadyPlain(tb testing.TB) (cluster.Config, *trace.Trace) {
 }
 
 // steadyPressured snapshots the saturated trace at its residency peak, so
-// the window runs through TickPressuredBatch and pins the plan cache and
-// fold buffers.
+// the window runs the quantum fold through pressured stretches and pins
+// its scratch buffers.
 func steadyPressured(tb testing.TB) (cluster.Config, *trace.Trace) {
 	cfg := cluster.Cluster1()
 	cfg.Quantum = 10 * time.Millisecond

@@ -701,11 +701,10 @@ func (c *Cluster) Start(tr *trace.Trace) error {
 			// No engine event inside the next quantum: tick inline and
 			// advance the clock instead of paying a heap push/pop for an
 			// un-contended re-arm. When the event horizon is several
-			// quanta away, first try to collapse the whole stretch into
-			// one closed-form accounting pass per active workstation —
-			// legal only while no node has a completion, demand-phase
-			// crossing, or partially resident job inside the stretch, so
-			// no scheduler callback or cross-node interaction can fire.
+			// quanta away, first try to fold the whole stretch in one
+			// pass per active workstation — legal while no node has a
+			// completion inside the stretch, so no scheduler callback or
+			// cross-node interaction can fire.
 			if kEvent := int64((next - now - 1) / q); ok && kEvent >= 2 {
 				if k := c.planBatch(kEvent); k >= 2 {
 					if err := c.applyBatch(now, k); err != nil {
@@ -1240,54 +1239,15 @@ func (c *Cluster) planBatch(kMax int64) int64 {
 }
 
 // applyBatch advances every active workstation by the k quanta of a
-// completion-free stretch. Nodes in a flat memory phase collapse their
-// stable prefix into one closed-form accounting pass; unpressured ramping
-// nodes replay only their demand evolution; pressured nodes fold their
-// stall-replay plan; and whatever remains (partial residency, replay
-// bailouts) takes ordinary per-quantum ticks at the stretch's synthetic
-// instants. Either way the arithmetic is bit-identical to the unbatched
-// path.
+// completion-free stretch, each node folding its own stretch in one pass
+// (node.Fold) bit-identically to k per-quantum ticks.
 func (c *Cluster) applyBatch(now time.Duration, k int64) error {
-	q := c.cfg.Quantum
 	for wi, w := range c.active {
 		for w != 0 {
 			id := wi<<6 + bits.TrailingZeros64(w)
 			w &= w - 1
-			n := c.nodes[id]
-			t := int64(0)
-			if kp := n.PlanQuanta(q, now, k); kp >= 2 {
-				if err := n.ApplyQuanta(q, now, kp); err != nil {
-					return err
-				}
-				t = kp
-			}
-			if rest := k - t; rest >= 2 {
-				// The two replay folds cover disjoint regimes — each
-				// refuses a node in the other's — so route on the
-				// pressure state up front rather than paying the ramp
-				// fold's setup just to bail on its first pressure check.
-				var ok bool
-				var err error
-				if n.Memory().Pressured() {
-					ok, err = n.TickPressuredBatch(q, now+time.Duration(t)*q, rest)
-				} else {
-					ok, err = n.TickRampBatch(q, now+time.Duration(t)*q, rest)
-				}
-				if err != nil {
-					return err
-				}
-				if ok {
-					t = k
-				}
-			}
-			for ; t < k; t++ {
-				done, err := n.Tick(q, now+time.Duration(t)*q)
-				if err != nil {
-					return err
-				}
-				if len(done) > 0 {
-					return fmt.Errorf("cluster: job completed inside a completion-free stretch on node %d", id)
-				}
+			if err := c.nodes[id].Fold(c.cfg.Quantum, now, k); err != nil {
+				return err
 			}
 		}
 	}

@@ -459,37 +459,12 @@ func (j *Job) Account(cpu, page, queue time.Duration, now time.Duration) (done b
 	return false, nil
 }
 
-// AccountBatch charges k identical scheduling quanta in one step — the
-// closed form of k sequential Account calls with the same arguments, exact
-// because every accumulation is an integer sum. It must not cross the
-// completion boundary: the caller guarantees k*cpu leaves demand
-// outstanding (a quantum that completes the job needs Account's clamping
-// and completion handling).
-func (j *Job) AccountBatch(cpu, page, queue time.Duration, k int64) error {
-	if j.state != StateRunning {
-		return fmt.Errorf("job %d: account in state %v", j.ID, j.state)
-	}
-	if cpu < 0 || page < 0 || queue < 0 || k <= 0 {
-		return fmt.Errorf("job %d: bad batched accounting (%v, %v, %v) x %d", j.ID, cpu, page, queue, k)
-	}
-	kc := cpu * time.Duration(k)
-	if j.cpuDone+kc >= j.CPUDemand {
-		return fmt.Errorf("job %d: batched quanta cross the completion boundary", j.ID)
-	}
-	j.cpuDone += kc
-	j.acct.CPU += kc
-	j.acct.Page += page * time.Duration(k)
-	j.acct.Queue += queue * time.Duration(k)
-	return nil
-}
-
 // AccountFold charges the exact integer sums of a stretch of scheduling
-// quanta whose per-tick arguments varied (the pressured stall replay, where
-// each quantum's cpu depends on that tick's paging stall) — the fold of the
-// corresponding sequential Account calls, exact because every accumulation
-// is an integer sum. It must not cross the completion boundary: the
-// caller's replay guarantees every constituent quantum left demand
-// outstanding.
+// quanta (the node's quantum fold) — the closed form of the corresponding
+// sequential Account calls, exact because every accumulation is an integer
+// sum. It must not reach the completion boundary: the fold guarantees every
+// constituent quantum left demand outstanding (a quantum that completes the
+// job needs Account's completion handling).
 func (j *Job) AccountFold(cpu, page, queue time.Duration) error {
 	if j.state != StateRunning {
 		return fmt.Errorf("job %d: account in state %v", j.ID, j.state)

@@ -157,6 +157,103 @@ func TestMigrationAccounting(t *testing.T) {
 	}
 }
 
+func TestAccountFold(t *testing.T) {
+	// newTestJob demands 10 s of CPU; started at its 5 s submission, it
+	// enters the fold with nothing charged.
+	running := func(t *testing.T) *Job {
+		j := newTestJob(t)
+		if err := j.Start(0, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	cases := []struct {
+		name             string
+		prep             func(t *testing.T) *Job
+		cpu, page, queue time.Duration
+		wantErr          bool
+	}{
+		{name: "charges", prep: running, cpu: 4 * time.Second, page: time.Second, queue: 2 * time.Second},
+		{name: "zero", prep: running},
+		{name: "one short of demand", prep: running, cpu: 10*time.Second - 1},
+		{name: "negative cpu", prep: running, cpu: -1, wantErr: true},
+		{name: "negative page", prep: running, cpu: time.Second, page: -1, wantErr: true},
+		{name: "negative queue", prep: running, cpu: time.Second, queue: -1, wantErr: true},
+		{name: "reaches demand", prep: running, cpu: 10 * time.Second, wantErr: true},
+		{name: "passes demand", prep: running, cpu: 11 * time.Second, wantErr: true},
+		{name: "pending", prep: newTestJob, cpu: time.Second, wantErr: true},
+		{name: "migrating", prep: func(t *testing.T) *Job {
+			j := running(t)
+			if err := j.BeginMigration(6 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			return j
+		}, cpu: time.Second, wantErr: true},
+		{name: "done", prep: func(t *testing.T) *Job {
+			j := running(t)
+			if done, err := j.Account(10*time.Second, 0, 0, 15*time.Second); err != nil || !done {
+				t.Fatalf("account: done=%v err=%v", done, err)
+			}
+			return j
+		}, cpu: time.Second, wantErr: true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			j := c.prep(t)
+			before := j.Snapshot()
+			err := j.AccountFold(c.cpu, c.page, c.queue)
+			if c.wantErr {
+				if err == nil {
+					t.Fatal("AccountFold accepted the charge")
+				}
+				if j.Snapshot() != before {
+					t.Fatal("a refused AccountFold changed the job")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := before.acct
+			want.CPU += c.cpu
+			want.Page += c.page
+			want.Queue += c.queue
+			if j.Breakdown() != want || j.CPUDone() != before.cpuDone+c.cpu || j.State() != StateRunning {
+				t.Fatalf("after fold: %+v done %v state %v, want %+v done %v running",
+					j.Breakdown(), j.CPUDone(), j.State(), want, before.cpuDone+c.cpu)
+			}
+		})
+	}
+}
+
+// TestAccountFoldMatchesAccount pins AccountFold as the exact closed form
+// of sequential Account calls: folding the sums of a run of uneven quanta
+// leaves the same job state as accounting them one at a time.
+func TestAccountFoldMatchesAccount(t *testing.T) {
+	seq, folded := newTestJob(t), newTestJob(t)
+	for _, j := range []*Job{seq, folded} {
+		if err := j.Start(0, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var cpu, page, queue time.Duration
+	for i := time.Duration(1); i <= 100; i++ {
+		c, p, q := 33*time.Millisecond+i*7, i*i*1013, 5*time.Millisecond-i*11
+		if done, err := seq.Account(c, p, q, 5*time.Second+i*10*time.Millisecond); err != nil || done {
+			t.Fatalf("quantum %d: done=%v err=%v", i, done, err)
+		}
+		cpu, page, queue = cpu+c, page+p, queue+q
+	}
+	for i := 0; i < 2; i++ { // two folds of halves add up like one
+		if err := folded.AccountFold(cpu/2+time.Duration(i)*(cpu%2), page/2+time.Duration(i)*(page%2), queue/2+time.Duration(i)*(queue%2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if seq.Snapshot() != folded.Snapshot() {
+		t.Fatalf("sequential %+v, folded %+v", seq.Snapshot(), folded.Snapshot())
+	}
+}
+
 func TestMemoryDemandInterpolation(t *testing.T) {
 	j := newTestJob(t)
 	tests := []struct {

@@ -162,7 +162,7 @@ func (m *Manager) Update(jobID int, demandMB float64) error {
 
 // ReplayDemands installs per-job demand values together with the demand
 // total produced by an exact add-by-add replay of the sequential Updates
-// they stand in for (the node's batched-quantum fast path). The total is
+// they stand in for (the node's quantum fold). The total is
 // taken as given rather than recomputed from the demands: float addition
 // is non-associative, so only the caller's replayed accumulation matches
 // the value a sequence of Updates would have left behind.
@@ -212,7 +212,7 @@ func (m *Manager) IdleMB() float64 { return m.IdleAtMB(m.total) }
 // IdleAtMB reports the idle user memory a hypothetical demand total would
 // leave. The zero-argument accessors delegate to these *At forms so that a
 // replayed total runs through the very same arithmetic as dense ticking —
-// the foundation of the stall-replay plan's bit-identity guarantee.
+// the foundation of the quantum fold's bit-identity guarantee.
 func (m *Manager) IdleAtMB(total float64) float64 {
 	idle := m.UserMB() - total
 	if idle < 0 {
@@ -277,44 +277,67 @@ func (m *Manager) StallPerCPUSecond() float64 {
 
 // StallPerCPUSecondAt reports the stall a hypothetical demand total would
 // produce, via the identical arithmetic as StallPerCPUSecond. Sensitive to
-// the network-RAM override (SetRemoteBacking), which is why stall-replay
-// plans key on the remote service time.
+// the network-RAM override (SetRemoteBacking).
 func (m *Manager) StallPerCPUSecondAt(total float64) float64 {
 	return m.FaultRateAt(total) * m.faultService().Seconds()
 }
 
-// FaultServiceTime reports the per-fault service time currently in effect
-// (the network-RAM override when set, else the disk service time).
-func (m *Manager) FaultServiceTime() time.Duration { return m.faultService() }
-
 // Replay is a deterministic stall-replay cursor. It walks the demand-total
 // trajectory a sequence of Update calls would produce — without mutating
-// the manager — and emits the exact per-quantum StallPerCPUSecond /
-// FaultRate / pressure sequence dense ticking would observe at each point.
-// Because the cursor evaluates through the same *At methods the
-// zero-argument accessors delegate to, and Step reproduces Update's
-// accumulate-then-clamp exactly, every float the replay yields is
-// bit-identical to the one dense ticking would have computed. Commit the
-// final per-job demands and total with ReplayDemands.
+// the manager — and reports the pressure, fault rate and stall dense
+// ticking would observe at each point. Because the cursor evaluates
+// through the same *At methods the zero-argument accessors delegate to,
+// and Step reproduces Update's accumulate-then-clamp exactly, every float
+// the replay yields is bit-identical to the one dense ticking would have
+// computed. Commit the final per-job demands and total with ReplayDemands.
 type Replay struct {
 	m     *Manager
+	user  float64 // UserMB, fixed for the cursor's life
 	total float64
+
+	// The pressure terms at total, both zero while it is not pressured.
+	// fault is the fault service in seconds, read on first need.
+	pressured bool
+	rate      float64
+	fault     float64
 }
 
 // Replay returns a cursor positioned at the manager's current total.
-func (m *Manager) Replay() Replay { return Replay{m: m, total: m.total} }
+func (m *Manager) Replay() Replay {
+	r := Replay{m: m, user: m.UserMB(), total: m.total}
+	r.eval()
+	return r
+}
+
+// eval clamps the cursor's total at zero, as Update does, and evaluates the
+// pressure terms there: PressuredAt's comparison against the cached user
+// memory, and FaultRateAt itself.
+func (r *Replay) eval() {
+	if r.total < 0 {
+		r.total = 0
+	}
+	r.pressured = r.total > r.user
+	r.rate = 0
+	if r.pressured {
+		r.rate = r.m.FaultRateAt(r.total)
+		if r.fault == 0 {
+			r.fault = r.m.faultService().Seconds()
+		}
+	}
+}
 
 // Total reports the cursor's running demand total.
 func (r *Replay) Total() float64 { return r.total }
 
 // Pressured reports whether the cursor's total would be paging.
-func (r *Replay) Pressured() bool { return r.m.PressuredAt(r.total) }
+func (r *Replay) Pressured() bool { return r.pressured }
 
 // FaultRate reports the fault rate at the cursor's total.
-func (r *Replay) FaultRate() float64 { return r.m.FaultRateAt(r.total) }
+func (r *Replay) FaultRate() float64 { return r.rate }
 
-// Stall reports StallPerCPUSecond at the cursor's total.
-func (r *Replay) Stall() float64 { return r.m.StallPerCPUSecondAt(r.total) }
+// Stall reports StallPerCPUSecond at the cursor's total: the same product
+// of fault rate and service seconds (zero times zero when unpressured).
+func (r *Replay) Stall() float64 { return r.rate * r.fault }
 
 // Step applies one job's demand revision (oldMB -> newMB) with exactly
 // Update's accumulation: total += new - old, clamped at zero. Replayed
@@ -322,8 +345,9 @@ func (r *Replay) Stall() float64 { return r.m.StallPerCPUSecondAt(r.total) }
 // float addition is non-associative.
 func (r *Replay) Step(oldMB, newMB float64) {
 	r.total += newMB - oldMB
-	if r.total < 0 {
-		r.total = 0
+	// The pressure terms stay zero below user memory; eval also clamps.
+	if r.total < 0 || r.total > r.user || r.pressured {
+		r.eval()
 	}
 }
 

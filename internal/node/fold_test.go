@@ -1,0 +1,463 @@
+package node
+
+import (
+	"reflect"
+	"testing"
+	"time"
+
+	"vrcluster/internal/job"
+	"vrcluster/internal/memory"
+)
+
+// watched installs a no-op pressure watcher, so lastPressured tracks the
+// node's pressure transitions the way it does inside a cluster.
+func watched(n *Node) *Node {
+	n.SetPressureWatcher(func(bool) {})
+	return n
+}
+
+// pressuredPair builds two identical nodes loaded past their user memory
+// with ramping-demand jobs, so every tick runs the stall-feedback regime.
+func pressuredPair(t *testing.T) (dense, batched *Node) {
+	t.Helper()
+	mk := func() *Node {
+		n := watched(newNode(t, 100, 4))
+		for id, ph := range [][]job.Phase{
+			{{EndFrac: 0.8, StartMB: 30, EndMB: 70}, {EndFrac: 1, StartMB: 70, EndMB: 70}},
+			{{EndFrac: 0.6, StartMB: 40, EndMB: 90}, {EndFrac: 1, StartMB: 90, EndMB: 50}},
+		} {
+			j, err := job.New(id, "ramp", 30*time.Second, ph, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := n.Admit(j, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return n
+	}
+	dense, batched = mk(), mk()
+	// Warm both onto the ramp until the node is pressured.
+	q := 10 * time.Millisecond
+	now := time.Duration(0)
+	for !dense.Pressured() {
+		now += q
+		for _, n := range []*Node{dense, batched} {
+			if _, err := n.Tick(q, now); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if now > time.Minute {
+			t.Fatal("nodes never became pressured")
+		}
+	}
+	if !batched.Pressured() {
+		t.Fatal("twin nodes diverged during warmup")
+	}
+	return dense, batched
+}
+
+// snapState captures everything a quantum can touch: the node's full
+// snapshot (memory registry and total, coverage, demand caches, flat-phase
+// horizons, lastPressured, fault and stall accumulators) with the job
+// pointers swapped for the jobs' own snapshots, since twin nodes hold
+// distinct but identically built jobs.
+func snapState(n *Node) (Snapshot, []job.Snapshot) {
+	s := n.Snapshot()
+	jobs := make([]job.Snapshot, len(s.jobs))
+	for i, j := range s.jobs {
+		jobs[i] = j.Snapshot()
+	}
+	s.jobs = nil
+	return s, jobs
+}
+
+func requireSameState(t *testing.T, dense, batched *Node, what string) {
+	t.Helper()
+	ds, dj := snapState(dense)
+	bs, bj := snapState(batched)
+	if ds.faults != bs.faults {
+		t.Fatalf("%s: faults diverge: dense %v batched %v", what, ds.faults, bs.faults)
+	}
+	if !reflect.DeepEqual(dj, bj) {
+		t.Fatalf("%s: job state diverges:\n dense %+v\n batch %+v", what, dj, bj)
+	}
+	if !reflect.DeepEqual(ds, bs) {
+		t.Fatalf("%s: node state diverges:\n dense %+v\n batch %+v", what, ds, bs)
+	}
+}
+
+// tickDense advances n by the k quanta due at now, now+dt, … one Tick at a
+// time, failing on any completion (the stretch was meant to be free of
+// them). It reports how many pressure transitions the ticks passed.
+func tickDense(t *testing.T, n *Node, dt, now time.Duration, k int64) (flips int) {
+	t.Helper()
+	was := n.Pressured()
+	for s := int64(0); s < k; s++ {
+		done, err := n.Tick(dt, now+time.Duration(s)*dt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(done) > 0 {
+			t.Fatalf("job completed at tick %d of a %d-quantum stretch", s, k)
+		}
+		if p := n.Pressured(); p != was {
+			was = p
+			flips++
+		}
+	}
+	return flips
+}
+
+// land puts j on n at time at: admitted fresh when ticks is zero, else
+// landed as a migration after up to ticks quanta of q on a scratch donor
+// node, so it arrives with progress past its flat-phase horizon.
+func land(t *testing.T, n *Node, j *job.Job, q time.Duration, ticks int, at time.Duration) {
+	t.Helper()
+	if ticks == 0 {
+		if err := n.Admit(j, at); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	donor := newNode(t, 1000, 1)
+	if err := donor.Admit(j, 0); err != nil {
+		t.Fatal(err)
+	}
+	s := 0
+	for s < ticks && donor.CompletionFloor(q, 1) > 0 { // stop short of completing
+		s++
+		if _, err := donor.Tick(q, time.Duration(s)*q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := donor.Detach(j, time.Duration(s)*q); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.AttachMigrated(j, 0, false, at); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFoldMatchesDense pins the fold bit-identical to sequential Ticks
+// across several consecutive stretches of a pressured, ramping node.
+func TestFoldMatchesDense(t *testing.T) {
+	dense, batched := pressuredPair(t)
+	q := 10 * time.Millisecond
+	now := dense.covered[0] + q
+	const k = 50
+	for round := 0; round < 6; round++ {
+		tickDense(t, dense, q, now, k)
+		if err := batched.Fold(q, now, k); err != nil {
+			t.Fatal(err)
+		}
+		now += k * q
+		requireSameState(t, dense, batched, "after stretch")
+	}
+}
+
+// TestFoldRegimes drives Fold across pressure crossings in both
+// directions, through a ramp whose I/O stall moves with the demand total
+// while unpressured, and over partial residency in the first quantum.
+// Every case must leave the state k dense Ticks leave, and must actually
+// exercise its regime.
+func TestFoldRegimes(t *testing.T) {
+	const q = 10 * time.Millisecond
+	type admit struct {
+		cpu    time.Duration
+		phases []job.Phase
+		ioRate float64
+		at     time.Duration
+		ran    int // quanta run elsewhere before landing here as a migration
+	}
+	flat := func(mb float64) []job.Phase { return []job.Phase{{EndFrac: 1, StartMB: mb, EndMB: mb}} }
+	ramp := func(from, to, until float64) []job.Phase {
+		return []job.Phase{{EndFrac: until, StartMB: from, EndMB: to}, {EndFrac: 1, StartMB: to, EndMB: to}}
+	}
+	cases := []struct {
+		name string
+		jobs []admit
+		// warm dense ticks run on both nodes before the stretch, which
+		// starts with the tick due at now.
+		warm  int64
+		now   time.Duration
+		k     int64
+		flips int // pressure transitions the stretch must pass, at least
+		check func(t *testing.T, n *Node)
+	}{
+		{
+			name: "unpressured to pressured",
+			jobs: []admit{
+				{cpu: time.Minute, phases: flat(60)},
+				{cpu: time.Minute, phases: ramp(20, 80, 0.5)},
+			},
+			warm: 1, now: 2 * q, k: 2500, flips: 1,
+		},
+		{
+			name: "pressured to unpressured",
+			jobs: []admit{
+				{cpu: 2 * time.Minute, phases: flat(60)},
+				{cpu: 2 * time.Minute, phases: ramp(60, 10, 0.2)},
+			},
+			warm: 1, now: 2 * q, k: 5000, flips: 1,
+		},
+		{
+			name: "io-active ramp while unpressured",
+			jobs: []admit{
+				{cpu: time.Minute, phases: ramp(20, 40, 0.2), ioRate: 4},
+				{cpu: time.Minute, phases: ramp(30, 45, 0.2), ioRate: 2},
+			},
+			warm: 1, now: 2 * q, k: 3000,
+			check: func(t *testing.T, n *Node) {
+				if n.Pressured() || n.IOStall() == 0 {
+					t.Fatalf("stretch should stay unpressured yet stall on the cache: pressured=%v ioStall=%v",
+						n.Pressured(), n.IOStall())
+				}
+			},
+		},
+		{
+			name: "partially resident first quantum",
+			jobs: []admit{
+				{cpu: time.Minute, phases: flat(30)},
+				{cpu: time.Minute, phases: ramp(10, 50, 0.3), ioRate: 1, at: 2*q + q/3},
+				{cpu: time.Minute, phases: flat(20), at: 3 * q}, // resident for none of it
+				// Lands with progress past its (zero) flat horizon at the
+				// stretch's first instant: the first tick must skip it.
+				{cpu: time.Minute, phases: ramp(10, 40, 0.5), at: 3 * q, ran: 100},
+			},
+			warm: 2, now: 3 * q, k: 400,
+		},
+		{
+			// A one-quantum stretch leaves a migrant that landed at its
+			// instant untouched, flat-phase horizon included.
+			name: "migrant landing at the only tick",
+			jobs: []admit{
+				{cpu: time.Minute, phases: flat(30)},
+				{cpu: time.Minute, phases: flat(20), at: 2 * q, ran: 100},
+			},
+			warm: 1, now: 2 * q, k: 1,
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			mk := func() *Node {
+				n := watched(newNode(t, 100, 4))
+				tick := int64(1)
+				for id, a := range c.jobs {
+					for ; tick <= c.warm && time.Duration(tick)*q < a.at; tick++ {
+						if _, err := n.Tick(q, time.Duration(tick)*q); err != nil {
+							t.Fatal(err)
+						}
+					}
+					j, err := job.New(id, "regime", a.cpu, a.phases, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					j.SetIORate(a.ioRate)
+					land(t, n, j, q, a.ran, a.at)
+				}
+				for ; tick <= c.warm; tick++ {
+					if _, err := n.Tick(q, time.Duration(tick)*q); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return n
+			}
+			dense, folded := mk(), mk()
+			requireSameState(t, dense, folded, "before the stretch")
+			if floor := dense.CompletionFloor(q, c.k); floor != c.k {
+				t.Fatalf("completion floor %d below the case's stretch %d", floor, c.k)
+			}
+			if flips := tickDense(t, dense, q, c.now, c.k); flips < c.flips {
+				t.Fatalf("dense stretch passed %d pressure transitions, want at least %d", flips, c.flips)
+			}
+			if err := folded.Fold(q, c.now, c.k); err != nil {
+				t.Fatal(err)
+			}
+			requireSameState(t, dense, folded, "after the stretch")
+			if c.check != nil {
+				c.check(t, folded)
+			}
+		})
+	}
+}
+
+// TestFoldRejectsBadQuantum mirrors Tick's quantum validation.
+func TestFoldRejectsBadQuantum(t *testing.T) {
+	n := newNode(t, 100, 4)
+	if err := n.Admit(newJob(t, 1, time.Second, 10), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Fold(0, time.Second, 3); err == nil {
+		t.Fatal("zero quantum accepted")
+	}
+}
+
+// TestCompletionFloorEarlyExitAtBoundary pins the near-done fast path: with
+// a resident job within one quantum of completion at maximal progress the
+// floor is exactly zero, and one tick of slack away it is exactly one.
+func TestCompletionFloorEarlyExitAtBoundary(t *testing.T) {
+	q := 10 * time.Millisecond
+	// Single resident job at speed factor 1: exec == q, so maxCPU == q+1.
+	maxCPU := time.Duration(q.Seconds()*float64(time.Second)) + 1
+	cases := []struct {
+		remaining time.Duration
+		want      int64
+	}{
+		{maxCPU, 0},        // (maxCPU-1)/maxCPU == 0: could finish next tick
+		{maxCPU - 1, 0},    // even closer
+		{maxCPU + 1, 1},    // exactly one provably non-final tick
+		{2*maxCPU + 1, 2},  // two
+		{100 * maxCPU, 99}, // deep interior
+	}
+	for _, c := range cases {
+		n := newNode(t, 1000, 4)
+		if err := n.Admit(newJob(t, 1, c.remaining, 10), 0); err != nil {
+			t.Fatal(err)
+		}
+		if got := n.CompletionFloor(q, 1<<30); got != c.want {
+			t.Fatalf("CompletionFloor(remaining=%v) = %d, want %d", c.remaining, got, c.want)
+		}
+	}
+	// Early exit must trigger regardless of position: a near-done job after
+	// a long-running one still floors the node at zero.
+	n := newNode(t, 1000, 4)
+	if err := n.Admit(newJob(t, 1, time.Hour, 10), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Admit(newJob(t, 2, 3*time.Millisecond, 10), 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := n.CompletionFloor(q, 1<<30); got != 0 {
+		t.Fatalf("CompletionFloor with near-done second job = %d, want 0", got)
+	}
+}
+
+// FuzzFoldMatchesTick is the differential check behind Fold: from a drawn
+// node and job mix, one Fold of k quanta must leave exactly the node and
+// job state k sequential Ticks leave. testdata/fuzz holds seeds for the
+// regimes: flat, pressured, pressure crossings either way, an I/O-active
+// ramp, and partial residency in the first quantum.
+func FuzzFoldMatchesTick(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dense, folded, q, now, k := drawStretch(t, data)
+		if k == 0 {
+			return
+		}
+		tickDense(t, dense, q, now, k)
+		if err := folded.Fold(q, now, k); err != nil {
+			t.Fatal(err)
+		}
+		requireSameState(t, dense, folded, "after the stretch")
+	})
+}
+
+// drawStretch builds twin nodes from fuzz input and picks the stretch to
+// advance them by: the k quanta from the tick due at now. The draw covers
+// job phases (flat and ramping, up and down), I/O rates, admission offsets
+// (including mid-quantum and at the stretch's first instant), migrated
+// arrivals that land with progress, memory
+// capacity around the line the jobs' summed demand crosses, CPU speed,
+// remote backing, the quantum, and k up to the nodes' CompletionFloor.
+func drawStretch(t *testing.T, data []byte) (dense, folded *Node, q, now time.Duration, k int64) {
+	d := draw(data)
+	q = time.Duration(1+d.n(20)) * time.Millisecond
+	type spec struct {
+		cpu    time.Duration
+		phases []job.Phase
+		ioRate float64
+		at     time.Duration
+		ran    int
+	}
+	specs := make([]spec, 1+d.n(5))
+	warm := int64(d.n(4))
+	now = time.Duration(warm+1) * q
+	peak := 0.0
+	for i := range specs {
+		s := &specs[i]
+		s.cpu = time.Duration(1+d.n(120)) * 500 * time.Millisecond
+		frac, mb := 0.0, float64(d.n(80))
+		for p, np := 0, 1+d.n(3); p < np; p++ {
+			end := 1.0
+			if p < np-1 {
+				end = frac + (1-frac)*float64(1+d.n(9))/10
+			}
+			next := mb
+			if d.n(3) > 0 { // two phases in three ramp
+				next = float64(d.n(80))
+			}
+			s.phases = append(s.phases, job.Phase{EndFrac: end, StartMB: mb, EndMB: next})
+			frac, mb = end, next
+			peak = max(peak, next)
+		}
+		if d.n(2) == 1 {
+			s.ioRate = float64(1 + d.n(8))
+		}
+		// Most jobs are resident before the stretch; some arrive inside
+		// its first quantum or exactly at its first tick.
+		s.at = time.Duration(d.n(int(warm)+1)) * q
+		if d.n(3) == 0 {
+			s.at = now - q + time.Duration(d.n(int(q/time.Microsecond)+1))*time.Microsecond
+		}
+		if d.n(3) == 0 { // some land as migrations, with progress
+			s.ran = 1 + d.n(200)
+		}
+	}
+	capMB := 20 + peak*float64(len(specs))*float64(40+d.n(80))/100
+	speed := float64(200 + 100*d.n(4))
+	remote := time.Duration(d.n(3)) * time.Millisecond
+	kMax := int64(1 + d.n(3000))
+
+	mk := func() *Node {
+		n, err := New(Config{CPUSpeedMHz: speed, RefSpeedMHz: 400, CPUThreshold: 8,
+			Memory: memory.Config{CapacityMB: capMB, UserFraction: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		watched(n)
+		n.Memory().SetRemoteBacking(remote)
+		// Each job is admitted just before the first tick at or after its
+		// offset; the last pass admits the stretch's arrivals.
+		admitted := make([]bool, len(specs))
+		for tick := int64(1); tick <= warm+1; tick++ {
+			at := time.Duration(tick) * q
+			for id, s := range specs {
+				if !admitted[id] && s.at <= at {
+					j, err := job.New(id, "fuzz", s.cpu, s.phases, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					j.SetIORate(s.ioRate)
+					land(t, n, j, q, s.ran, s.at)
+					admitted[id] = true
+				}
+			}
+			if tick <= warm {
+				if _, err := n.Tick(q, at); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return n
+	}
+	dense, folded = mk(), mk()
+	return dense, folded, q, now, dense.CompletionFloor(q, kMax)
+}
+
+// draw reads bounded integers from fuzz input, yielding zeros once the
+// input runs out.
+type draw []byte
+
+func (d *draw) n(bound int) int {
+	if len(*d) == 0 || bound <= 0 {
+		return 0
+	}
+	b := int((*d)[0])
+	if len(*d) > 1 {
+		b = b<<8 | int((*d)[1])
+		*d = (*d)[2:]
+	} else {
+		*d = (*d)[1:]
+	}
+	return b % bound
+}

@@ -147,105 +147,16 @@ type Node struct {
 	cpuDelivered time.Duration
 	ioStall      time.Duration // cumulative buffer-cache-miss stall
 
-	// Batched-quantum plan scratch, valid only between a PlanQuanta and
-	// the matching ApplyQuanta within one engine event. It is derived
-	// state that never survives an event boundary, so it is deliberately
-	// excluded from Snapshot/Restore.
-	planNow   time.Duration
-	planDt    time.Duration
-	planK     int64
-	planCPU   []time.Duration
-	planPage  []time.Duration
-	planQueue []time.Duration
-	planIO    []time.Duration
-
-	// Ramp-replay scratch for TickRampBatch, same lifetime and
-	// Snapshot/Restore exclusion as the plan scratch above.
-	rampDemand []float64
-	rampFlat   []time.Duration
-	rampIDs    []int
-
-	// pressPlans is a small ring of cached stall-replay plans for
-	// TickPressuredBatch. Unlike the single-event scratch above, cached
-	// plans intentionally outlive the event that built them: every entry
-	// is keyed on the complete set of inputs its replay depends on (jobs
-	// by identity, per-job service/demand/phase state, the demand total,
-	// the quantum, the stretch length, and the fault-service override),
-	// so a hit is valid whenever the key matches — including after a
-	// Restore, where forks re-entering the same warmup prefix re-derive
-	// exactly the keyed state and reuse the plan across what-if cells.
-	// Content addressing is what makes the cache fork-safe without any
-	// invalidation hook in Snapshot/Restore.
-	pressPlans [pressPlanSlots]pressPlan
-	pressNext  int
-	// pressRun is the replay's running per-job CPU-service cursor, plain
-	// single-event scratch like the ramp slices.
-	pressRun []time.Duration
-	pressIO  []float64
+	// fold is Fold's per-job scratch and foldIDs its demand-commit ID list.
+	// Both are rebuilt by every call and never outlive it, so they are
+	// deliberately excluded from Snapshot/Restore.
+	fold    []foldJob
+	foldIDs []int
 
 	// doneScratch backs Tick's completed-jobs return value. Callers
 	// consume the slice before the node's next Tick, so reusing one
 	// backing array keeps completion-bearing quanta allocation-free.
 	doneScratch []*job.Job
-}
-
-// pressPlanSlots is the per-node plan-cache ring size: enough to hold the
-// plans of the handful of batched stretches between a snapshot point and
-// the first divergence, which is the window fork-heavy experiment grids
-// (WhatIfGrid, SeedSensitivity) replay over and over.
-const pressPlanSlots = 4
-
-// pressPlan is one cached stall-replay plan: the folded outcome of k
-// pressured quanta, plus the complete key identifying the node state it
-// was computed from.
-type pressPlan struct {
-	used bool
-
-	// Key. jobs are compared by pointer identity (profiles are immutable;
-	// a restored fork re-holds the very same Job objects), the rest by
-	// value. The demand total and fault-service override pin the memory
-	// manager's stall arithmetic; ioRate pins each job's cache-miss term.
-	dt         time.Duration
-	k          int64
-	remote     time.Duration
-	total      float64
-	faultStart float64
-	jobs       []*job.Job
-	ioRate     []float64
-	done       []time.Duration
-	demand     []float64
-	flat       []time.Duration
-
-	// Folded outputs: exact integer sums per job, the demand/phase state
-	// after the stretch, the replayed demand total, and the fault
-	// accumulator after the stretch. Float accumulation is order-dependent,
-	// so faultEnd is built by adding each quantum's accrual to faultStart
-	// in exact replay order — which is why faultStart is part of the key.
-	sumCPU    []time.Duration
-	sumPage   []time.Duration
-	sumQueue  []time.Duration
-	sumIO     []time.Duration
-	endDemand []float64
-	endFlat   []time.Duration
-	endTotal  float64
-	changed   bool
-	faultEnd  float64
-}
-
-// matches reports whether the plan was built from exactly the given node
-// state.
-func (p *pressPlan) matches(n *Node, dt time.Duration, k int64, remote time.Duration, total float64) bool {
-	if !p.used || p.dt != dt || p.k != k || p.remote != remote ||
-		p.total != total || p.faultStart != n.faults || len(p.jobs) != len(n.jobs) {
-		return false
-	}
-	for i, j := range n.jobs {
-		if p.jobs[i] != j || p.ioRate[i] != j.IORate() || p.done[i] != j.CPUDone() ||
-			p.demand[i] != n.demand[i] || p.flat[i] != n.flatUntil[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // New constructs a workstation.
@@ -556,16 +467,16 @@ func (n *Node) IOActiveJobs() int { return n.ioActive }
 // CacheAvailability reports how much of the buffer-cache working set the
 // node's I/O-active jobs can keep in memory, in [0, 1]. With no I/O-active
 // jobs the cache is trivially sufficient.
-func (n *Node) CacheAvailability() float64 {
-	need := n.cfg.IOCacheNeedMB * float64(n.IOActiveJobs())
+func (n *Node) CacheAvailability() float64 { return n.cacheAvailabilityAt(n.mem.DemandMB()) }
+
+// cacheAvailabilityAt is CacheAvailability at a hypothetical demand total,
+// so Fold's replayed totals run through the same arithmetic as Tick.
+func (n *Node) cacheAvailabilityAt(total float64) float64 {
+	need := n.cfg.IOCacheNeedMB * float64(n.ioActive)
 	if need <= 0 {
 		return 1
 	}
-	avail := n.mem.IdleMB() / need
-	if avail > 1 {
-		return 1
-	}
-	return avail
+	return min(n.mem.IdleAtMB(total)/need, 1)
 }
 
 // CPUDelivered reports cumulative CPU service delivered to jobs,
@@ -826,35 +737,11 @@ func (n *Node) Tick(dt time.Duration, now time.Duration) ([]*job.Job, error) {
 	if dt <= 0 {
 		return nil, fmt.Errorf("node %d: nonpositive quantum %v", n.cfg.ID, dt)
 	}
-	count := len(n.jobs)
-	if count == 0 {
+	if len(n.jobs) == 0 {
 		return nil, nil
 	}
-
-	share := dt / time.Duration(count)
-	overhead := time.Duration(0)
-	if count > 1 {
-		overhead = n.cfg.ContextSwitch
-	}
-	exec := share - overhead
-	if exec < 0 {
-		exec = 0
-	}
-
-	v := n.SpeedFactor()
-	stall := n.mem.StallPerCPUSecond() // wall seconds of paging per CPU second
-	// Buffer-cache squeeze: when idle memory cannot hold the I/O-active
-	// jobs' cache working sets, their reads and writes go to the disk.
-	cacheMiss := 1 - n.CacheAvailability()
-
-	// Loop invariants, hoisted. The fast paths below skip float operations
-	// only when IEEE 754 guarantees the skipped operation is an exact
-	// identity (x/1 == x, x+0 == x for x >= 0), so results stay
-	// bit-identical to the straight-line arithmetic.
-	execSecFull := exec.Seconds()
-	denomBase := 1/v + stall
+	q := n.newQuantum(dt, n.mem.StallPerCPUSecond(), 1-n.CacheAvailability())
 	lo := now - dt
-
 	done := n.doneScratch[:0]
 	for i, j := range n.jobs {
 		// Credit only the portion of the quantum the job was actually
@@ -867,53 +754,16 @@ func (n *Node) Tick(dt time.Duration, now time.Duration) ([]*job.Job, error) {
 		if resid <= 0 {
 			continue
 		}
-		execHere := exec
-		execSec := execSecFull
-		if execHere > resid {
-			execHere = resid
-			execSec = execHere.Seconds()
-		}
-		// In execution wall time w the job splits between compute
-		// (cpu/v), paging (cpu*stall), and buffer-cache-miss disk time
-		// (cpu*ioStall): cpu = w / (1/v + stall + ioStall).
-		ioStall := 0.0
-		if rate := j.IORate(); rate > 0 && cacheMiss > 0 && n.cfg.DiskMBps > 0 {
-			ioStall = rate / n.cfg.DiskMBps * cacheMiss
-		}
-		cpuSec := execSec
-		if denom := denomBase + ioStall; denom != 1 {
-			cpuSec = execSec / denom
-		}
-		cpu := time.Duration(cpuSec * float64(time.Second))
-		if rem := j.Remaining(); cpu >= rem {
-			cpu = rem
-		}
-		computeWall := cpu
-		if v != 1 {
-			computeWall = time.Duration(float64(cpu) / v)
-		}
-		// Both paging and cache-miss disk time are memory-pressure-
-		// induced I/O waits; the Section 5 decomposition folds them into
-		// the paging component.
-		page := time.Duration(0)
-		if ps := stall + ioStall; ps != 0 {
-			page = time.Duration(float64(cpu) * ps)
-		}
-		queue := resid - computeWall - page
-		if queue < 0 {
-			queue = 0
-		}
-		finished, err := j.Account(cpu, page, queue, now)
+		c := q.charge(j, resid, j.Remaining())
+		finished, err := j.Account(c.cpu, c.page, c.queue, now)
 		if err != nil {
 			return nil, err
 		}
 		if n.mem.Pressured() { // FaultRate is nonzero exactly under pressure
-			n.faults += float64(cpu) / float64(time.Second) * n.mem.FaultRate()
+			n.faults += float64(c.cpu) / float64(time.Second) * n.mem.FaultRate()
 		}
-		if ioStall != 0 {
-			n.ioStall += time.Duration(float64(cpu) * ioStall)
-		}
-		n.cpuDelivered += cpu
+		n.ioStall += c.io
+		n.cpuDelivered += c.cpu
 		if finished {
 			done = append(done, j)
 			if err := n.mem.Remove(j.ID); err != nil {
@@ -974,6 +824,99 @@ func (n *Node) Tick(dt time.Duration, now time.Duration) ([]*job.Job, error) {
 	return done, nil
 }
 
+// execShare is each resident job's execution time in a quantum of length
+// dt: an equal round-robin share of it, less the context switch when the
+// CPU is multiprogrammed, and never negative.
+func (n *Node) execShare(dt time.Duration) time.Duration {
+	share := dt / time.Duration(len(n.jobs))
+	if len(n.jobs) > 1 {
+		share -= n.cfg.ContextSwitch
+	}
+	return max(share, 0)
+}
+
+// quantum holds one tick's job-independent terms — the values Tick hoists
+// out of its per-job loop — evaluated at the demand total the tick starts
+// from.
+type quantum struct {
+	exec      time.Duration
+	execSec   float64
+	v         float64 // speed factor
+	diskMBps  float64
+	stall     float64 // wall seconds of paging per CPU second
+	denomBase float64
+	cacheMiss float64 // share of the I/O-active jobs' cache need not held
+}
+
+// newQuantum evaluates a quantum of length dt at paging stall stall and
+// cache-miss share miss.
+func (n *Node) newQuantum(dt time.Duration, stall, miss float64) quantum {
+	exec := n.execShare(dt)
+	v := n.SpeedFactor()
+	return quantum{exec: exec, execSec: exec.Seconds(), v: v, diskMBps: n.cfg.DiskMBps,
+		stall: stall, denomBase: 1/v + stall, cacheMiss: miss}
+}
+
+// setPressure moves the quantum to a new stall and cache-miss share and
+// reports whether either changed; if not, every job's charge is the same.
+func (q *quantum) setPressure(stall, miss float64) (moved bool) {
+	if stall == q.stall && miss == q.cacheMiss {
+		return false
+	}
+	q.stall, q.denomBase, q.cacheMiss = stall, 1/q.v+stall, miss
+	return true
+}
+
+// charge is one job's accounting for one quantum: CPU progress, paging
+// stall (which includes the cache-miss disk time io), and time spent
+// runnable but not executing.
+type charge struct{ cpu, page, queue, io time.Duration }
+
+// charge computes job j's quantum, given resid of residency within it and
+// rem of outstanding CPU demand. The fast paths skip a float operation
+// only where IEEE 754 makes it an exact identity (x/1 == x, x+0 == x for
+// x >= 0), so results stay bit-identical to the straight-line arithmetic.
+func (q *quantum) charge(j *job.Job, resid, rem time.Duration) charge {
+	execSec := q.execSec
+	if q.exec > resid {
+		execSec = resid.Seconds()
+	}
+	// In execution wall time w the job splits between compute (cpu/v),
+	// paging (cpu*stall), and buffer-cache-miss disk time (cpu*ioStall):
+	// cpu = w / (1/v + stall + ioStall).
+	ioStall := 0.0
+	if rate := j.IORate(); rate > 0 && q.cacheMiss > 0 && q.diskMBps > 0 {
+		ioStall = rate / q.diskMBps * q.cacheMiss
+	}
+	cpuSec := execSec
+	if denom := q.denomBase + ioStall; denom != 1 {
+		cpuSec = execSec / denom
+	}
+	c := charge{cpu: min(time.Duration(cpuSec*float64(time.Second)), rem)}
+	computeWall := c.cpu
+	if q.v != 1 {
+		computeWall = time.Duration(float64(c.cpu) / q.v)
+	}
+	// Both paging and cache-miss disk time are memory-pressure-induced
+	// I/O waits; the Section 5 decomposition folds them into paging.
+	if ps := q.stall + ioStall; ps != 0 {
+		c.page = time.Duration(float64(c.cpu) * ps)
+	}
+	c.queue = max(resid-computeWall-c.page, 0)
+	if ioStall != 0 {
+		c.io = time.Duration(float64(c.cpu) * ioStall)
+	}
+	return c
+}
+
+// add folds k quanta of charge d into c.
+func (c *charge) add(d charge, k int64) {
+	c.cpu += d.cpu * time.Duration(k)
+	c.page += d.page * time.Duration(k)
+	c.queue += d.queue * time.Duration(k)
+	c.io += d.io * time.Duration(k)
+}
+
 // CompletionFloor reports a stretch length k ≤ kMax during which no
 // resident job can possibly complete, whatever the memory pressure does
 // meanwhile: per-tick CPU progress is bounded by the full execution share
@@ -981,17 +924,11 @@ func (n *Node) Tick(dt time.Duration, now time.Duration) ([]*job.Job, error) {
 // non-final. The cluster uses the cluster-wide minimum as the window
 // within which quantum ticks cannot trigger scheduler callbacks.
 func (n *Node) CompletionFloor(dt time.Duration, kMax int64) int64 {
-	count := len(n.jobs)
-	if count == 0 || dt <= 0 {
+	if len(n.jobs) == 0 || dt <= 0 {
 		return kMax
 	}
-	share := dt / time.Duration(count)
-	overhead := time.Duration(0)
-	if count > 1 {
-		overhead = n.cfg.ContextSwitch
-	}
-	exec := share - overhead
-	if exec <= 0 {
+	exec := n.execShare(dt)
+	if exec == 0 {
 		return kMax // no CPU progress possible, so no completions either
 	}
 	maxCPU := time.Duration(exec.Seconds()*n.SpeedFactor()*float64(time.Second)) + 1
@@ -1000,506 +937,217 @@ func (n *Node) CompletionFloor(dt time.Duration, kMax int64) int64 {
 		kj := int64((j.Remaining() - 1) / maxCPU)
 		if kj == 0 {
 			// A resident job could complete on the very next tick even at
-			// maximal per-quantum progress: no stretch exists. Returning
-			// immediately skips the remaining residents and, more
-			// importantly, spares the cluster a plan/bailout cycle on a
-			// near-done node — under pressure that cycle replays the whole
-			// stall sequence before discovering the completion.
+			// maximal per-quantum progress: no stretch exists, and the
+			// remaining residents need not be scanned.
 			return 0
 		}
-		if kj < k {
-			k = kj
-		}
+		k = min(k, kj)
 	}
 	return k
 }
 
-// PlanQuanta reports how many consecutive quantum ticks, starting with the
-// tick due at now, can be collapsed into one closed-form accounting pass —
-// at most kMax. A stretch is collapsible only while every per-tick
-// computation is provably identical: all jobs fully resident (no partial
-// first quantum), no job reaching completion, and no job crossing its
-// flat-memory-phase horizon (which would trigger a demand refresh). The
-// per-job quantities are cached on the node for the matching ApplyQuanta;
-// a return of 0 or 1 means the caller must take a normal Tick.
-func (n *Node) PlanQuanta(dt, now time.Duration, kMax int64) int64 {
-	n.planK = 0
-	count := len(n.jobs)
-	if count == 0 || dt <= 0 || kMax < 2 {
-		return 0
-	}
-	lo := now - dt
-	for _, from := range n.covered {
-		if from > lo {
-			return 0 // admitted mid-quantum: its first tick credits partial residency
-		}
-	}
+// foldJob is one resident job's running state inside Fold: the charge
+// every tick currently makes, the CPU service the job had when that charge
+// took effect, its demand and flat-phase horizon, and the stretch's sums
+// up to then.
+type foldJob struct {
+	j      *job.Job
+	charge charge
+	done   time.Duration
+	demand float64
+	flat   time.Duration
+	sum    charge
+	// resid is the job's residency in the coming quantum: all of it but
+	// on the stretch's first, where Tick's resid rule applies and a job
+	// resident for none of it (resid <= 0) is skipped.
+	resid time.Duration
+}
 
-	// Identical to Tick's hoisted invariants: nothing below mutates the
-	// memory manager, so these stay constant across the whole stretch.
-	share := dt / time.Duration(count)
-	overhead := time.Duration(0)
-	if count > 1 {
-		overhead = n.cfg.ContextSwitch
+// recharge closes the job's current charge after seg ticks and takes up
+// the charge of quantum q.
+func (f *foldJob) recharge(q *quantum, seg int64) {
+	f.sum.add(f.charge, seg)
+	f.done += f.charge.cpu * time.Duration(seg)
+	f.charge = charge{}
+	if f.resid > 0 {
+		f.charge = q.charge(f.j, f.resid, f.j.CPUDemand-f.done)
 	}
-	exec := share - overhead
-	if exec < 0 {
-		exec = 0
+}
+
+// Fold advances the k quanta due at now, now+dt, …, now+(k-1)*dt in one
+// pass, leaving exactly the node and job state k sequential Ticks would.
+// The caller guarantees the stretch is completion-free (k no larger than
+// CompletionFloor); inside such a stretch nothing a tick does reaches
+// beyond the node, so Fold covers every regime and never falls back.
+//
+// Fold replays Tick's per-tick, per-job order on a memory.Replay cursor:
+// each tick reads its stall and cache miss from the cursor's total, each
+// job accrues faults against the total as the earlier jobs of that tick
+// left it, and a job that crosses its flat-phase horizon steps the cursor.
+// While the stall and cache miss stand still every tick charges each job
+// the same amounts, so the integer sums are multiplies; and while no job
+// can cross its horizon the total stands still too, so whole runs of ticks
+// fold at once, replaying only the page-fault float sum add by add (it is
+// order-dependent), and only while pressured. A flat phase is one long
+// run, a ramp a chain of single ticks, and a pressure crossing in either
+// direction just another total for the next tick to read. The pressure
+// watcher sees one notification for the whole stretch: it only records
+// the latest state.
+func (n *Node) Fold(dt, now time.Duration, k int64) error {
+	if dt <= 0 {
+		return fmt.Errorf("node %d: nonpositive quantum %v", n.cfg.ID, dt)
 	}
-	v := n.SpeedFactor()
-	stall := n.mem.StallPerCPUSecond()
-	cacheMiss := 1 - n.CacheAvailability()
-	execSec := exec.Seconds()
-	denomBase := 1/v + stall
-
-	n.planCPU = append(n.planCPU[:0], make([]time.Duration, count)...)
-	n.planPage = append(n.planPage[:0], make([]time.Duration, count)...)
-	n.planQueue = append(n.planQueue[:0], make([]time.Duration, count)...)
-	n.planIO = append(n.planIO[:0], make([]time.Duration, count)...)
-
-	k := kMax
+	if len(n.jobs) == 0 || k <= 0 {
+		return nil
+	}
+	// Only the first tick can credit partial residency: it leaves every
+	// job covered up to now. steady reports that no job sits past its
+	// flat-phase horizon, so a run can fold.
+	if cap(n.fold) < len(n.jobs) {
+		n.fold = make([]foldJob, len(n.jobs))
+	}
+	fold := n.fold[:len(n.jobs)]
+	first, steady := false, true
 	for i, j := range n.jobs {
-		ioStall := 0.0
-		if rate := j.IORate(); rate > 0 && cacheMiss > 0 && n.cfg.DiskMBps > 0 {
-			ioStall = rate / n.cfg.DiskMBps * cacheMiss
+		f := &fold[i]
+		f.j, f.done, f.demand, f.flat, f.resid = j, j.CPUDone(), n.demand[i], n.flatUntil[i], dt
+		f.charge, f.sum = charge{}, charge{}
+		if from := n.covered[i]; from > now-dt {
+			f.resid, first = now-from, true
 		}
-		cpuSec := execSec
-		if denom := denomBase + ioStall; denom != 1 {
-			cpuSec = execSec / denom
-		}
-		cpu := time.Duration(cpuSec * float64(time.Second))
-		if cpu > 0 {
-			// Completion bound: all k ticks must leave demand outstanding.
-			if kj := int64((j.Remaining() - 1) / cpu); kj < k {
-				k = kj
+		steady = steady && f.done <= f.flat
+	}
+	rep := n.mem.Replay()
+	q := n.newQuantum(dt, rep.Stall(), 1-n.cacheAvailabilityAt(rep.Total()))
+	// seg counts the ticks made at the current charges, so a job's CPU
+	// service is its done plus seg of its charge; stale marks charges that
+	// no longer match q.
+	seg, stale, moved, faults := int64(0), true, false, n.faults
+	for t := int64(0); t < k; {
+		if stale {
+			for i := range fold {
+				fold[i].recharge(&q, seg)
 			}
-			// Horizon bound: accumulated service must stay at or below the
-			// flat-phase horizon, or a tick would refresh the demand.
-			flat := n.flatUntil[i] - j.CPUDone()
-			if flat < 0 {
-				return 0
+			seg, stale = 0, false
+		}
+		if steady && !first {
+			// Fold the run of ticks before the next horizon crossing.
+			run := k - t
+			for i := range fold {
+				// A job in its final flat phase cannot cross before it
+				// completes, which the stretch rules out.
+				f := &fold[i]
+				if cpu := f.charge.cpu; cpu > 0 && f.flat < f.j.CPUDemand {
+					run = min(run, int64((f.flat-f.done)/cpu)-seg)
+				}
 			}
-			if kj := int64(flat / cpu); kj < k {
-				k = kj
+			if run > 0 {
+				if rep.Pressured() {
+					fr := rep.FaultRate()
+					for r := int64(0); r < run; r++ {
+						for i := range fold {
+							faults += float64(fold[i].charge.cpu) / float64(time.Second) * fr
+						}
+					}
+				}
+				seg += run
+				if t += run; t == k {
+					break
+				}
 			}
-			if k < 2 {
-				return 0
+		}
+		// Then ticks in full, crossings and all, while the charges hold:
+		// below user memory with no I/O-active job the stall and cache
+		// miss stay zero whatever the total does.
+		limit := k - t
+		if first {
+			limit = 1
+		}
+		total := rep.Total()
+		ticks, fs, st, mv := foldTicks(fold, &rep, faults, seg, limit, first, !rep.Pressured() && n.ioActive == 0)
+		faults, steady, moved, seg, t = fs, st, moved || mv, seg+ticks, t+ticks
+		if first {
+			// Every later tick credits full residency.
+			for i := range fold {
+				fold[i].resid = dt
 			}
+			stale, first = true, false
 		}
-		computeWall := cpu
-		if v != 1 {
-			computeWall = time.Duration(float64(cpu) / v)
-		}
-		page := time.Duration(0)
-		if ps := stall + ioStall; ps != 0 {
-			page = time.Duration(float64(cpu) * ps)
-		}
-		queue := dt - computeWall - page
-		if queue < 0 {
-			queue = 0
-		}
-		n.planCPU[i] = cpu
-		n.planPage[i] = page
-		n.planQueue[i] = queue
-		if ioStall != 0 {
-			n.planIO[i] = time.Duration(float64(cpu) * ioStall)
+		if rep.Total() != total {
+			stale = q.setPressure(rep.Stall(), 1-n.cacheAvailabilityAt(rep.Total())) || stale
 		}
 	}
-	n.planNow, n.planDt, n.planK = now, dt, k
-	return k
-}
+	n.faults = faults
 
-// ApplyQuanta charges k quanta planned by PlanQuanta in one pass,
-// bit-identical to k sequential Ticks over the same stretch: every
-// accumulator is either an exact integer fold (job accounting, delivered
-// CPU, I/O stall) or replayed add-by-add in tick order (the page-fault
-// float accumulation). k may be smaller than planned — the per-tick
-// quantities do not depend on it — but never larger.
-func (n *Node) ApplyQuanta(dt, now time.Duration, k int64) error {
-	if k < 2 || k > n.planK || dt != n.planDt || now != n.planNow {
-		return fmt.Errorf("node %d: apply of %d quanta without a matching plan", n.cfg.ID, k)
-	}
-	n.planK = 0
+	// Commit: integer sums fold exactly, and the demand registry takes the
+	// cursor's total, accumulated in Update's order.
 	last := now + time.Duration(k-1)*dt
-	rate := 0.0
-	if n.mem.Pressured() {
-		rate = n.mem.FaultRate()
-	}
-	for i, j := range n.jobs {
-		cpu := n.planCPU[i]
-		if err := j.AccountBatch(cpu, n.planPage[i], n.planQueue[i], k); err != nil {
+	for i := range fold {
+		f := &fold[i]
+		f.sum.add(f.charge, seg)
+		if err := f.j.AccountFold(f.sum.cpu, f.sum.page, f.sum.queue); err != nil {
 			return err
 		}
 		n.covered[i] = last
-		n.cpuDelivered += cpu * time.Duration(k)
-		if io := n.planIO[i]; io != 0 {
-			n.ioStall += io * time.Duration(k)
-		}
+		n.demand[i] = f.demand
+		n.flatUntil[i] = f.flat
+		n.cpuDelivered += f.sum.cpu
+		n.ioStall += f.sum.io
 	}
-	if rate != 0 {
-		// Tick accrues faults with one float add per job per quantum;
-		// replay the same add sequence so the sum is bit-identical.
-		for t := int64(0); t < k; t++ {
-			for _, cpu := range n.planCPU {
-				n.faults += float64(cpu) / float64(time.Second) * rate
-			}
+	if moved {
+		ids := n.foldIDs[:0]
+		for _, j := range n.jobs {
+			ids = append(ids, j.ID)
+		}
+		n.foldIDs = ids
+		if err := n.mem.ReplayDemands(ids, n.demand, rep.Total()); err != nil {
+			return err
 		}
 	}
 	n.notifyPressure()
 	return nil
 }
 
-// TickRampBatch advances k quanta in one pass on a node whose only
-// per-tick variation is ramping memory demand. Preconditions (checked
-// here): zero paging stall, no I/O-active jobs, full residency, and no
-// completion within the stretch — then every tick's CPU arithmetic is the
-// same constant expression and only the demand bookkeeping evolves. That
-// evolution is replayed on scratch state in the exact per-tick,
-// per-job order Tick would use — including the running demand total's
-// add-by-add float accumulation — so the committed values are
-// bit-identical to k sequential Ticks. If the replay would ever cross
-// into memory pressure (which changes the next tick's stall and accrues
-// page faults), the node is left untouched and the method reports false
-// so the caller falls back to ordinary ticks.
-func (n *Node) TickRampBatch(dt, now time.Duration, k int64) (bool, error) {
-	count := len(n.jobs)
-	if count == 0 || dt <= 0 || k < 2 || n.ioActive > 0 {
-		return false, nil
-	}
-	stall := n.mem.StallPerCPUSecond()
-	if stall != 0 {
-		return false, nil
-	}
-	lo := now - dt
-	for _, from := range n.covered {
-		if from > lo {
-			return false, nil // admitted mid-quantum: first tick credits partial residency
-		}
-	}
-
-	// With zero stall and no I/O-active jobs, Tick's per-job pipeline
-	// collapses to one shared value chain: ioStall == 0 for every job, so
-	// cpu, computeWall, and queue are job-independent. page stays exactly
-	// zero (Tick skips the multiply when stall+ioStall == 0).
-	share := dt / time.Duration(count)
-	overhead := time.Duration(0)
-	if count > 1 {
-		overhead = n.cfg.ContextSwitch
-	}
-	exec := share - overhead
-	if exec < 0 {
-		exec = 0
-	}
-	v := n.SpeedFactor()
-	cpuSec := exec.Seconds()
-	if denom := 1/v + stall; denom != 1 {
-		cpuSec = cpuSec / denom
-	}
-	cpu := time.Duration(cpuSec * float64(time.Second))
-	if cpu > 0 {
-		for _, j := range n.jobs {
-			// The caller's completion floor should already guarantee
-			// this; re-check so Tick's cpu-clamp branch provably never
-			// fires inside the stretch.
-			if int64((j.Remaining()-1)/cpu) < k {
-				return false, nil
+// foldTicks replays up to limit ticks at the current charges, the first
+// being tick seg+1 of them, each in Tick's per-job order: progress, fault
+// accrual against the total as the earlier jobs left it, then the demand
+// refresh past the flat-phase horizon. On the stretch's first tick it
+// skips the jobs resident for none of it, as Tick does. It stops after a
+// tick that leaves every job inside its flat phase, so a run can fold, or
+// that moves the total the charges depend on: any move unless fixed, else
+// one into pressure. It reports the ticks made, the fault count after
+// them, whether the last left every job inside its flat phase, and whether
+// any demand moved.
+func foldTicks(fold []foldJob, rep *memory.Replay, faults float64, seg, limit int64, first, fixed bool) (ticks int64, faultsAfter float64, steady, moved bool) {
+	for ticks < limit {
+		ticks++
+		total := rep.Total()
+		steady = true
+		for i := range fold {
+			f := &fold[i]
+			done := f.done + f.charge.cpu*time.Duration(seg+ticks)
+			if first && f.resid <= 0 {
+				steady = steady && done <= f.flat
+				continue
 			}
-		}
-	}
-	computeWall := cpu
-	if v != 1 {
-		computeWall = time.Duration(float64(cpu) / v)
-	}
-	queue := dt - computeWall
-	if queue < 0 {
-		queue = 0
-	}
-
-	// Replay the demand evolution on scratch. Tick's order per quantum is:
-	// for each job — account cpu, check Pressured (fault accrual), then
-	// refresh demand past the flat horizon. The pressure check for job i
-	// therefore sees the total after jobs 0..i-1 updated this tick; the
-	// replay compares at exactly those points and bails on any crossing.
-	user := n.mem.UserMB()
-	total := n.mem.DemandMB()
-	n.rampDemand = append(n.rampDemand[:0], n.demand...)
-	n.rampFlat = append(n.rampFlat[:0], n.flatUntil...)
-	changed := false
-	for t := int64(1); t <= k; t++ {
-		adv := time.Duration(t) * cpu
-		for i, j := range n.jobs {
-			if total > user {
-				return false, nil
+			if rep.Pressured() { // the fault rate is nonzero exactly under pressure
+				faults += float64(f.charge.cpu) / float64(time.Second) * rep.FaultRate()
 			}
-			if done := j.CPUDone() + adv; done > n.rampFlat[i] {
-				d, horizon := j.DemandHorizonAt(done)
-				if d != n.rampDemand[i] {
-					total += d - n.rampDemand[i]
-					if total < 0 {
-						total = 0 // Update's clamp, replayed
-					}
-					n.rampDemand[i] = d
-					changed = true
+			// A job that does not cross stays inside its flat phase.
+			if done > f.flat {
+				d, horizon := f.j.DemandHorizonAt(done)
+				if d != f.demand {
+					rep.Step(f.demand, d)
+					f.demand = d
+					moved = true
 				}
-				n.rampFlat[i] = horizon
+				f.flat = horizon
+				steady = steady && done <= horizon
 			}
 		}
-	}
-
-	// Commit: integer accounting folds exactly; demand state and the
-	// replayed total land as sequential ticks would have left them. A
-	// pressure crossing caused by the very last update is notified here,
-	// just as the final Tick's notifyPressure would have.
-	last := now + time.Duration(k-1)*dt
-	for i, j := range n.jobs {
-		if err := j.AccountBatch(cpu, 0, queue, k); err != nil {
-			return false, err
-		}
-		n.covered[i] = last
-		n.cpuDelivered += cpu * time.Duration(k)
-	}
-	if changed {
-		n.rampIDs = n.rampIDs[:0]
-		for _, j := range n.jobs {
-			n.rampIDs = append(n.rampIDs, j.ID)
-		}
-		if err := n.mem.ReplayDemands(n.rampIDs, n.rampDemand, total); err != nil {
-			return false, err
-		}
-	}
-	copy(n.demand, n.rampDemand)
-	copy(n.flatUntil, n.rampFlat)
-	n.notifyPressure()
-	return true, nil
-}
-
-// TickPressuredBatch advances k quanta in one pass on a node under memory
-// pressure — the regime where every tick's paging stall feeds back into the
-// next tick's arithmetic, which PlanQuanta (constant per-tick quantities)
-// and TickRampBatch (zero stall) cannot fold. The stall sequence is
-// replayed from a memory.Replay cursor: each quantum hoists the stall from
-// the cursor's running demand total exactly as Tick hoists it from the
-// manager, each job's cpu/page/queue/ioStall chain runs the identical
-// straight-line float arithmetic, page-fault addends are recorded at the
-// exact per-job accrual points (against the total as updated by earlier
-// jobs that tick), and demand refreshes step the cursor in Tick's
-// per-tick, per-job order. The replay bails — leaving the node untouched
-// and reporting false — on any pressure-boundary crossing, completion
-// clamp, or partial residency, so commits are provably bit-identical to k
-// sequential Ticks.
-//
-// Built plans are cached in a content-keyed ring (see pressPlan): forks
-// that Restore to the same warmup prefix re-derive the identical key and
-// reuse the fold without replaying.
-func (n *Node) TickPressuredBatch(dt, now time.Duration, k int64) (bool, error) {
-	count := len(n.jobs)
-	if count == 0 || dt <= 0 || k < 2 {
-		return false, nil
-	}
-	if !n.mem.Pressured() {
-		return false, nil // unpressured regimes belong to PlanQuanta/TickRampBatch
-	}
-	lo := now - dt
-	for _, from := range n.covered {
-		if from > lo {
-			return false, nil // admitted mid-quantum: first tick credits partial residency
-		}
-	}
-
-	remote := n.mem.FaultServiceTime()
-	total := n.mem.DemandMB()
-	var plan *pressPlan
-	for s := range n.pressPlans {
-		if p := &n.pressPlans[s]; p.matches(n, dt, k, remote, total) {
-			plan = p
+		if steady || rep.Total() != total && (!fixed || rep.Pressured()) {
 			break
 		}
 	}
-	if plan == nil {
-		plan = &n.pressPlans[n.pressNext]
-		n.pressNext = (n.pressNext + 1) % pressPlanSlots
-		if !n.buildPressPlan(plan, dt, k, remote, total) {
-			return false, nil
-		}
-	}
-	return true, n.applyPressPlan(plan, now)
-}
-
-// buildPressPlan replays k pressured quanta onto plan's scratch, recording
-// the key it was built from. Reports false (plan invalidated) if the
-// stretch cannot be folded bit-identically.
-func (n *Node) buildPressPlan(p *pressPlan, dt time.Duration, k int64, remote time.Duration, total float64) bool {
-	p.used = false
-	count := len(n.jobs)
-
-	// Tick's hoisted invariants that do not depend on the demand total.
-	share := dt / time.Duration(count)
-	overhead := time.Duration(0)
-	if count > 1 {
-		overhead = n.cfg.ContextSwitch
-	}
-	exec := share - overhead
-	if exec < 0 {
-		exec = 0
-	}
-	v := n.SpeedFactor()
-	execSec := exec.Seconds()
-	// Tick re-reads cache availability every quantum, but within this
-	// stretch every tick starts pressured (the replay bails on any
-	// crossing), so idle memory is pinned at zero and the per-tick read
-	// is the same constant Tick computes now.
-	cacheMiss := 1 - n.CacheAvailability()
-
-	// Key.
-	p.dt, p.k, p.remote, p.total = dt, k, remote, total
-	p.jobs = append(p.jobs[:0], n.jobs...)
-	p.ioRate = append(p.ioRate[:0], make([]float64, count)...)
-	p.done = append(p.done[:0], make([]time.Duration, count)...)
-	p.demand = append(p.demand[:0], n.demand...)
-	p.flat = append(p.flat[:0], n.flatUntil...)
-
-	// Outputs and replay scratch.
-	p.sumCPU = append(p.sumCPU[:0], make([]time.Duration, count)...)
-	p.sumPage = append(p.sumPage[:0], make([]time.Duration, count)...)
-	p.sumQueue = append(p.sumQueue[:0], make([]time.Duration, count)...)
-	p.sumIO = append(p.sumIO[:0], make([]time.Duration, count)...)
-	p.endDemand = append(p.endDemand[:0], n.demand...)
-	p.endFlat = append(p.endFlat[:0], n.flatUntil...)
-	p.faultStart = n.faults
-	p.changed = false
-	n.pressRun = append(n.pressRun[:0], make([]time.Duration, count)...)
-
-	n.pressIO = append(n.pressIO[:0], make([]float64, count)...)
-	for i, j := range n.jobs {
-		rate := j.IORate()
-		p.ioRate[i] = rate
-		p.done[i] = j.CPUDone()
-		n.pressRun[i] = j.CPUDone()
-		// Tick recomputes the I/O stall every quantum, but rate, disk
-		// bandwidth, and the pressured cache-miss fraction are all
-		// constant across the stretch, so the quotient is too.
-		if rate > 0 && cacheMiss > 0 && n.cfg.DiskMBps > 0 {
-			n.pressIO[i] = rate / n.cfg.DiskMBps * cacheMiss
-		}
-	}
-
-	// The fault rate is a pure function of the demand total, and the total
-	// only moves on a demand refresh — recompute lazily on rep.Step instead
-	// of per quantum per job like dense Tick does. faultService is fixed
-	// for the stretch (remote backing only changes at control points), and
-	// Stall() is exactly FaultRate()*faultService().Seconds(), so the
-	// hoisted products are bit-identical to Tick's.
-	fsSec := n.mem.FaultServiceTime().Seconds()
-	userMB := n.mem.UserMB()
-	rep := n.mem.Replay()
-	fr := rep.FaultRate()
-	// The fault accumulator is replayed here, during the build, by adding
-	// each quantum's accrual in exact dense order onto the node's current
-	// value (part of the plan key); the commit just installs the result.
-	faults := n.faults
-	// Re-slice every per-job array to the shared length so the inner
-	// loop's indexing is provably in range (bounds checks hoist out).
-	jobs := p.jobs[:count]
-	pressIO := n.pressIO[:count]
-	pressRun := n.pressRun[:count]
-	sumCPU := p.sumCPU[:count]
-	sumPage := p.sumPage[:count]
-	sumQueue := p.sumQueue[:count]
-	sumIO := p.sumIO[:count]
-	endDemand := p.endDemand[:count]
-	endFlat := p.endFlat[:count]
-	for t := int64(1); t <= k; t++ {
-		if rep.Total() <= userMB {
-			return false // stall regime flipped: the next tick is flat/ramp territory
-		}
-		stall := fr * fsSec
-		denomBase := 1/v + stall
-		for i, j := range jobs {
-			ioStall := pressIO[i]
-			cpuSec := execSec
-			if denom := denomBase + ioStall; denom != 1 {
-				cpuSec = execSec / denom
-			}
-			cpu := time.Duration(cpuSec * float64(time.Second))
-			if cpu >= j.CPUDemand-pressRun[i] {
-				return false // Tick's completion clamp would fire inside the stretch
-			}
-			pressRun[i] += cpu
-			computeWall := cpu
-			if v != 1 {
-				computeWall = time.Duration(float64(cpu) / v)
-			}
-			page := time.Duration(0)
-			if ps := stall + ioStall; ps != 0 {
-				page = time.Duration(float64(cpu) * ps)
-			}
-			queue := dt - computeWall - page
-			if queue < 0 {
-				queue = 0
-			}
-			sumCPU[i] += cpu
-			sumPage[i] += page
-			sumQueue[i] += queue
-			if ioStall != 0 {
-				sumIO[i] += time.Duration(float64(cpu) * ioStall)
-			}
-			// Fault accrual point: Tick checks pressure after job i's
-			// accounting, i.e. against the total as updated by jobs
-			// 0..i-1 this tick. Record the addend; float accumulation is
-			// order-dependent, so the commit re-adds the sequence.
-			if rep.Total() <= userMB {
-				return false // crossing mid-tick changes the accrual set
-			}
-			faults += float64(cpu) / float64(time.Second) * fr
-			// Demand refresh past the flat-phase horizon, stepping the
-			// cursor with Update's exact accumulate-then-clamp.
-			if pressRun[i] > endFlat[i] {
-				d, horizon := j.DemandHorizonAt(pressRun[i])
-				if d != endDemand[i] {
-					rep.Step(endDemand[i], d)
-					fr = rep.FaultRate() // total moved: next accrual sees it
-					endDemand[i] = d
-					p.changed = true
-				}
-				endFlat[i] = horizon
-			}
-		}
-	}
-	p.endTotal = rep.Total()
-	p.faultEnd = faults
-	p.used = true
-	return true
-}
-
-// applyPressPlan commits a stall-replay plan: integer sums fold exactly,
-// fault addends re-add in replay order, and the demand state lands as the
-// final tick would have left it. A pressure crossing caused by the very
-// last refresh is notified here, just as the final Tick's notifyPressure
-// would have.
-func (n *Node) applyPressPlan(p *pressPlan, now time.Duration) error {
-	last := now + time.Duration(p.k-1)*p.dt
-	for i, j := range n.jobs {
-		if err := j.AccountFold(p.sumCPU[i], p.sumPage[i], p.sumQueue[i]); err != nil {
-			return err
-		}
-		n.covered[i] = last
-		n.cpuDelivered += p.sumCPU[i]
-		if io := p.sumIO[i]; io != 0 {
-			n.ioStall += io
-		}
-	}
-	n.faults = p.faultEnd
-	if p.changed {
-		n.rampIDs = n.rampIDs[:0]
-		for _, j := range n.jobs {
-			n.rampIDs = append(n.rampIDs, j.ID)
-		}
-		if err := n.mem.ReplayDemands(n.rampIDs, p.endDemand, p.endTotal); err != nil {
-			return err
-		}
-	}
-	copy(n.demand, p.endDemand)
-	copy(n.flatUntil, p.endFlat)
-	n.notifyPressure()
-	return nil
+	return ticks, faults, steady, moved
 }

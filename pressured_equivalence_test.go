@@ -1,11 +1,11 @@
-// Pressure-saturated equivalence: the stall-replay fold (TickPressuredBatch,
-// DESIGN.md §12) batches quanta on nodes whose paging stall feeds back into
-// every tick's arithmetic. These tests drive workloads that keep most of the
+// Pressure-saturated equivalence: the quantum fold (node.Fold, DESIGN.md
+// §12) batches quanta on nodes whose paging stall feeds back into every
+// tick's arithmetic. These tests drive workloads that keep most of the
 // cluster over its memory threshold for most of the run — the regime the
 // standard traces only touch in bursts — and require the batched runs to be
 // byte-identical (metrics AND JSONL event traces) to forced-dense runs, and
 // forked runs to fresh runs, including the Restore-then-batch pattern that
-// would expose a stale plan cache.
+// would expose fold state leaking across a restore.
 package vrcluster_test
 
 import (
@@ -113,11 +113,10 @@ func TestDenseVsBatchedEquivalencePressured(t *testing.T) {
 
 // TestForkVsFreshEquivalencePressured forks a saturated run at half the
 // submission window and requires the forked completion — which Restores
-// into node states whose plan caches were populated by the warmup — to
-// match a fresh run byte-for-byte. forkedRun re-forks from the same
-// snapshot twice, so a plan cached during fork one must either hit
-// correctly or miss cleanly on fork two; any staleness shows up as a
-// metrics or trace divergence here.
+// into nodes whose fold scratch was last used by the warmup — to match a
+// fresh run byte-for-byte. forkedRun re-forks from the same snapshot
+// twice, so anything fork one leaves behind in a node must not reach fork
+// two; any such leak shows up as a metrics or trace divergence here.
 func TestForkVsFreshEquivalencePressured(t *testing.T) {
 	for _, g := range []workload.Group{workload.Group1, workload.Group2} {
 		for _, vr := range []bool{false, true} {

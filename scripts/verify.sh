@@ -5,7 +5,8 @@
 # runner stress test (internal/runner). The fault-injection and lease
 # packages get a second -count=2 pass (catches cross-run state leakage in
 # the seeded fault streams), the steady-state zero-allocation guard runs
-# without the race detector, the benchmark module's tests (bench/) check
+# without the race detector, the quantum fold is fuzzed against dense ticks
+# for 20 s, the benchmark module's tests (bench/) check
 # its result goldens, a vrsim run with every fault dimension
 # enabled smoke-tests self-healing end to end, and a level-1 chaos grid
 # (membership churn + domain faults, invariant auditor on) must complete
@@ -41,6 +42,10 @@ go test -race -timeout 45m -count=2 ./internal/faults/... ./internal/core/...
 # allocates), so the guard runs once more without it.
 echo "== go test -run TestSteadyStateAllocs ."
 go test -count=1 -run '^TestSteadyStateAllocs$' .
+# go test ./... replays the fold fuzzer's committed seed corpus; a short
+# fuzzing run explores past it (fold vs. dense ticks, bit for bit).
+echo "== go test ./internal/node -fuzz FuzzFoldMatchesTick (20 s)"
+go test ./internal/node -run '^$' -fuzz FuzzFoldMatchesTick -fuzztime 20s
 # bench/ is its own module, so go test ./... above does not reach it. Its
 # goldens pin the result digests of all four benchmark workloads at seeds
 # 42 and 7.
