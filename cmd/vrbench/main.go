@@ -47,7 +47,6 @@ func run(args []string) (err error) {
 		jobs     = fs.Int("jobs", 0, "submissions at the largest scale point, scaled down proportionally (0 = two per node, cap 1e6)")
 		benchout = fs.String("benchout", "", "also write the scaling sweep as go-test bench lines to this file (-exp scale; for cmd/benchjson)")
 		levels   = fs.String("levels", "", "comma-separated trace levels for -exp chaos (default all five)")
-		fork     = fs.Bool("fork", true, "share the simulated warmup prefix across grid cells via snapshot/fork (-exp seeds, -exp ablate); results are identical either way")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = fs.String("memprofile", "", "write a heap profile to this file on exit")
 		metrics  = fs.String("metrics", "", "serve live telemetry on this address while experiments run (e.g. 127.0.0.1:9091)")
@@ -80,7 +79,9 @@ func run(args []string) (err error) {
 	}
 	out := os.Stdout
 	cfg := func(g workload.Group) experiments.RunConfig {
-		return experiments.RunConfig{Group: g, Seed: *seed, Quantum: *quantum, Parallel: *parallel, Metrics: reg}
+		// The grids that share a warmup prefix always fork from it; the
+		// fresh strategy is the reference the tests compare against.
+		return experiments.RunConfig{Group: g, Seed: *seed, Quantum: *quantum, Parallel: *parallel, Fork: true, Metrics: reg}
 	}
 
 	needGroup1 := *exp == "all" || *exp == "fig1" || *exp == "fig2" || *exp == "analytic" || *exp == "intervals"
@@ -122,29 +123,19 @@ func run(args []string) (err error) {
 		return experiments.RenderCatalog(out, workload.Group1)
 	case "table2":
 		return experiments.RenderCatalog(out, workload.Group2)
-	case "fig1":
-		for _, t := range g1.ExecQueueTables() {
-			if err := experiments.RenderTable(out, t); err != nil {
-				return err
-			}
+	case "fig1", "fig2", "fig3", "fig4":
+		var tables []experiments.Table
+		switch *exp {
+		case "fig1":
+			tables = g1.ExecQueueTables()
+		case "fig2":
+			tables = g1.SlowdownTables()
+		case "fig3":
+			tables = g2.ExecQueueTables()
+		default:
+			tables = g2.SlowdownTables()
 		}
-		return nil
-	case "fig2":
-		for _, t := range g1.SlowdownTables() {
-			if err := experiments.RenderTable(out, t); err != nil {
-				return err
-			}
-		}
-		return nil
-	case "fig3":
-		for _, t := range g2.ExecQueueTables() {
-			if err := experiments.RenderTable(out, t); err != nil {
-				return err
-			}
-		}
-		return nil
-	case "fig4":
-		for _, t := range g2.SlowdownTables() {
+		for _, t := range tables {
 			if err := experiments.RenderTable(out, t); err != nil {
 				return err
 			}
@@ -161,19 +152,16 @@ func run(args []string) (err error) {
 	case "ablations":
 		return ablations(out, cfg(workload.Group1), *level)
 	case "seeds":
-		c := cfg(workload.Group1)
-		c.Fork = *fork
 		start := time.Now()
-		rows, err := experiments.SeedSensitivity(c, *level, []int64{7, 21, 42, 99, 1234})
+		rows, err := experiments.SeedSensitivity(cfg(workload.Group1), *level, []int64{7, 21, 42, 99, 1234})
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "seed grid on level %d in %v (fork=%v)\n\n", *level, time.Since(start).Round(time.Millisecond), *fork)
+		fmt.Fprintf(out, "seed grid on level %d in %v\n\n", *level, time.Since(start).Round(time.Millisecond))
 		return experiments.RenderSeedRows(out, rows)
 	case "ablate":
 		c := cfg(workload.Group1)
-		c.Fork = *fork
-		fmt.Fprintf(out, "running what-if grid on trace level %d (fork=%v)...\n\n", *level, *fork)
+		fmt.Fprintf(out, "running what-if grid on trace level %d...\n\n", *level)
 		results, err := experiments.WhatIfGrid(c, *level, experiments.StandardWhatIfs(c))
 		if err != nil {
 			return err
@@ -265,52 +253,40 @@ func reportTiming(out *os.File, gr *experiments.GroupRuns, parallel int) {
 
 func ablations(out *os.File, cfg experiments.RunConfig, level int) error {
 	fmt.Fprintf(out, "running ablations on trace level %d...\n\n", level)
-	rules, err := experiments.AblationRules(cfg, level)
-	if err != nil {
-		return err
+	for _, a := range []struct {
+		title string
+		run   func() ([]experiments.AblationResult, error)
+	}{
+		{"Ablation — policy variants (Sections 1, 2.1)", func() ([]experiments.AblationResult, error) {
+			return experiments.AblationRules(cfg, level)
+		}},
+		{"Ablation — reservation cap (Section 2.2)", func() ([]experiments.AblationResult, error) {
+			return experiments.AblationReservationCap(cfg, level, []int{1, 2, 4, 8, 16})
+		}},
+		{"Ablation — load exchange period (Section 6)", func() ([]experiments.AblationResult, error) {
+			return experiments.AblationExchangePeriod(cfg, level,
+				[]time.Duration{500 * time.Millisecond, time.Second, 2 * time.Second, 4 * time.Second})
+		}},
+		{"Ablation — big-job-dominant workload (Section 2.3)", func() ([]experiments.AblationResult, error) {
+			return experiments.AblationBigJobs(cfg, level)
+		}},
+		{"Ablation — heterogeneous cluster (Section 2.3)", func() ([]experiments.AblationResult, error) {
+			return experiments.AblationHeterogeneous(cfg, level)
+		}},
+		{"Ablation — network RAM for oversized jobs (Section 2.3)", func() ([]experiments.AblationResult, error) {
+			return experiments.AblationNetworkRAM(cfg, level)
+		}},
+		{"Ablation — dedicated vs shared Ethernet", func() ([]experiments.AblationResult, error) {
+			return experiments.AblationSharedNetwork(cfg, level)
+		}},
+	} {
+		results, err := a.run()
+		if err != nil {
+			return err
+		}
+		if err := experiments.RenderAblation(out, a.title, results); err != nil {
+			return err
+		}
 	}
-	if err := experiments.RenderAblation(out, "Ablation — policy variants (Sections 1, 2.1)", rules); err != nil {
-		return err
-	}
-	caps, err := experiments.AblationReservationCap(cfg, level, []int{1, 2, 4, 8, 16})
-	if err != nil {
-		return err
-	}
-	if err := experiments.RenderAblation(out, "Ablation — reservation cap (Section 2.2)", caps); err != nil {
-		return err
-	}
-	periods, err := experiments.AblationExchangePeriod(cfg, level,
-		[]time.Duration{500 * time.Millisecond, time.Second, 2 * time.Second, 4 * time.Second})
-	if err != nil {
-		return err
-	}
-	if err := experiments.RenderAblation(out, "Ablation — load exchange period (Section 6)", periods); err != nil {
-		return err
-	}
-	big, err := experiments.AblationBigJobs(cfg, level)
-	if err != nil {
-		return err
-	}
-	if err := experiments.RenderAblation(out, "Ablation — big-job-dominant workload (Section 2.3)", big); err != nil {
-		return err
-	}
-	het, err := experiments.AblationHeterogeneous(cfg, level)
-	if err != nil {
-		return err
-	}
-	if err := experiments.RenderAblation(out, "Ablation — heterogeneous cluster (Section 2.3)", het); err != nil {
-		return err
-	}
-	nram, err := experiments.AblationNetworkRAM(cfg, level)
-	if err != nil {
-		return err
-	}
-	if err := experiments.RenderAblation(out, "Ablation — network RAM for oversized jobs (Section 2.3)", nram); err != nil {
-		return err
-	}
-	shared, err := experiments.AblationSharedNetwork(cfg, level)
-	if err != nil {
-		return err
-	}
-	return experiments.RenderAblation(out, "Ablation — dedicated vs shared Ethernet", shared)
+	return nil
 }

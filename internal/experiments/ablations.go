@@ -9,7 +9,6 @@ import (
 	"vrcluster/internal/metrics"
 	"vrcluster/internal/node"
 	"vrcluster/internal/policy"
-	"vrcluster/internal/runner"
 	"vrcluster/internal/trace"
 )
 
@@ -19,105 +18,61 @@ type AblationResult struct {
 	Result  *metrics.Result
 }
 
-// ablationVariant names one ablation task and knows how to build its
-// scheduler and (optionally) tweak the cluster config. Variants fan out
-// across cfg.Parallel workers; each task replays its own deep copy of the
-// trace so no variant can alias another's state.
-type ablationVariant struct {
-	name   string
-	build  func() (cluster.Scheduler, error)
-	mutate func(*cluster.Config)
-}
-
-// runVariants executes every variant against its own clone of tr, in
-// input order.
-func runVariants(cfg RunConfig, tr *trace.Trace, variants []ablationVariant) ([]AblationResult, error) {
-	return runner.Map(cfg.Parallel, variants, func(_ int, v ablationVariant) (AblationResult, error) {
-		sched, err := v.build()
-		if err != nil {
-			return AblationResult{}, err
-		}
-		res, err := runOne(cfg, tr.Clone(), sched, v.mutate)
-		if err != nil {
-			return AblationResult{}, fmt.Errorf("ablation %s: %w", v.name, err)
-		}
-		return AblationResult{Variant: v.name, Result: res}, nil
-	})
-}
-
 // AblationRules compares every policy variant on one trace: no sharing,
 // CPU-only sharing, the G-Loadsharing baseline, job suspension, and both
 // reserving-period rules of the virtual reconfiguration — covering the
 // design alternatives of Sections 1 and 2.1.
 func AblationRules(cfg RunConfig, level int) ([]AblationResult, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	tr, err := trace.Standard(cfg.Group, level, cfg.Seed)
+	tr, err := cfg.standard(level)
 	if err != nil {
 		return nil, err
 	}
-	variants := []ablationVariant{
-		{name: "no-sharing", build: func() (cluster.Scheduler, error) { return policy.NoSharing{}, nil }},
-		{name: "cpu-sharing", build: func() (cluster.Scheduler, error) { return policy.CPUSharing{}, nil }},
-		{name: "g-loadsharing", build: func() (cluster.Scheduler, error) { return policy.NewGLoadSharing(), nil }},
-		{name: "suspension", build: func() (cluster.Scheduler, error) { return policy.NewSuspension(), nil }},
-		{name: "vr-full-drain", build: func() (cluster.Scheduler, error) {
-			return core.NewVReconfiguration(core.Options{Rule: core.RuleFullDrain})
-		}},
-		{name: "vr-early-fit", build: func() (cluster.Scheduler, error) {
-			return core.NewVReconfiguration(core.Options{Rule: core.RuleEarlyFit})
-		}},
+	cells := []cell{
+		{name: "no-sharing", sched: func() (cluster.Scheduler, error) { return policy.NoSharing{}, nil }},
+		{name: "cpu-sharing", sched: func() (cluster.Scheduler, error) { return policy.CPUSharing{}, nil }},
+		{name: "g-loadsharing", sched: gls},
+		{name: "suspension", sched: func() (cluster.Scheduler, error) { return policy.NewSuspension(), nil }},
+		{name: "vr-full-drain", sched: vr(core.Options{Rule: core.RuleFullDrain})},
+		{name: "vr-early-fit", sched: vr(core.Options{Rule: core.RuleEarlyFit})},
 	}
-	return runVariants(cfg, tr, variants)
+	ccfg := cfg.clusterConfig()
+	for i := range cells {
+		cells[i].trace, cells[i].cfg = tr, ccfg
+	}
+	return ablate(cfg, cells)
 }
 
 // AblationReservationCap sweeps the maximum number of simultaneously
 // reserved workstations — the fairness dial of Section 2.2.
 func AblationReservationCap(cfg RunConfig, level int, caps []int) ([]AblationResult, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	tr, err := trace.Standard(cfg.Group, level, cfg.Seed)
+	tr, err := cfg.standard(level)
 	if err != nil {
 		return nil, err
 	}
-	variants := make([]ablationVariant, 0, len(caps))
-	for _, cap := range caps {
-		cap := cap
-		variants = append(variants, ablationVariant{
-			name: fmt.Sprintf("max-reserved=%d", cap),
-			build: func() (cluster.Scheduler, error) {
-				return core.NewVReconfiguration(core.Options{Rule: cfg.Rule, MaxReserved: cap})
-			},
-		})
+	ccfg := cfg.clusterConfig()
+	cells := make([]cell, len(caps))
+	for i, cap := range caps {
+		cells[i] = cell{name: fmt.Sprintf("max-reserved=%d", cap), trace: tr, cfg: ccfg,
+			sched: vr(core.Options{Rule: cfg.Rule, MaxReserved: cap})}
 	}
-	return runVariants(cfg, tr, variants)
+	return ablate(cfg, cells)
 }
 
 // AblationExchangePeriod sweeps the load-information collection and
 // distribution period — the timeliness/consistency concern the paper's
 // conclusion raises.
 func AblationExchangePeriod(cfg RunConfig, level int, periods []time.Duration) ([]AblationResult, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	tr, err := trace.Standard(cfg.Group, level, cfg.Seed)
+	tr, err := cfg.standard(level)
 	if err != nil {
 		return nil, err
 	}
-	variants := make([]ablationVariant, 0, len(periods))
-	for _, p := range periods {
-		period := p
-		variants = append(variants, ablationVariant{
-			name: fmt.Sprintf("exchange=%v", p),
-			build: func() (cluster.Scheduler, error) {
-				return core.NewVReconfiguration(core.Options{Rule: cfg.Rule})
-			},
-			mutate: func(cc *cluster.Config) { cc.ControlPeriod = period },
-		})
+	cells := make([]cell, len(periods))
+	for i, p := range periods {
+		cells[i] = cell{name: fmt.Sprintf("exchange=%v", p), trace: tr, cfg: cfg.clusterConfig(),
+			sched: vr(core.Options{Rule: cfg.Rule})}
+		cells[i].cfg.ControlPeriod = p
 	}
-	return runVariants(cfg, tr, variants)
+	return ablate(cfg, cells)
 }
 
 // AblationBigJobs runs a big-job-dominant workload (only the two largest
@@ -126,71 +81,30 @@ func AblationExchangePeriod(cfg RunConfig, level int, periods []time.Duration) (
 // workstations squeezes normal jobs. It returns the baseline and
 // reconfigured results on that workload.
 func AblationBigJobs(cfg RunConfig, level int) ([]AblationResult, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if level < 1 || level > len(trace.Levels) {
-		return nil, fmt.Errorf("experiments: level %d out of range", level)
-	}
-	lvl := trace.Levels[level-1]
-	tr, err := trace.Generate(trace.Config{
-		Name:     fmt.Sprintf("BigJobs-Trace-%d", level),
-		Group:    cfg.Group,
-		Sigma:    lvl.Sigma,
-		Mu:       lvl.Sigma,
-		Jobs:     lvl.Jobs,
-		Duration: lvl.Duration,
-		Nodes:    trace.StandardNodes,
-		Seed:     cfg.Seed,
-		Programs: []string{"apsi", "mcf"},
-	})
+	tr, err := cfg.generated(level, "BigJobs-Trace", []string{"apsi", "mcf"})
 	if err != nil {
 		return nil, err
 	}
-	return runVariants(cfg, tr, []ablationVariant{
-		{name: "g-loadsharing", build: func() (cluster.Scheduler, error) { return policy.NewGLoadSharing(), nil }},
-		{name: "v-reconfiguration", build: func() (cluster.Scheduler, error) {
-			return core.NewVReconfiguration(core.Options{Rule: cfg.Rule})
-		}},
-	})
+	return ablate(cfg, pair(cfg, tr, cfg.clusterConfig()))
 }
 
 // AblationSharedNetwork compares migrations over dedicated links with
 // migrations contending for the single shared Ethernet segment the
 // paper's clusters actually use.
 func AblationSharedNetwork(cfg RunConfig, level int) ([]AblationResult, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	tr, err := trace.Standard(cfg.Group, level, cfg.Seed)
+	tr, err := cfg.standard(level)
 	if err != nil {
 		return nil, err
 	}
-	var variants []ablationVariant
-	for _, shared := range []bool{false, true} {
-		suffix := "dedicated"
-		if shared {
-			suffix = "shared"
-		}
-		for _, vr := range []bool{false, true} {
-			isShared, isVR := shared, vr
-			name := "gls/" + suffix
-			if vr {
-				name = "vr/" + suffix
-			}
-			variants = append(variants, ablationVariant{
-				name: name,
-				build: func() (cluster.Scheduler, error) {
-					if isVR {
-						return core.NewVReconfiguration(core.Options{Rule: cfg.Rule})
-					}
-					return policy.NewGLoadSharing(), nil
-				},
-				mutate: func(cc *cluster.Config) { cc.SharedNetwork = isShared },
-			})
-		}
+	var cells []cell
+	for _, suffix := range []string{"dedicated", "shared"} {
+		ccfg := cfg.clusterConfig()
+		ccfg.SharedNetwork = suffix == "shared"
+		p := pair(cfg, tr, ccfg)
+		p[0].name, p[1].name = "gls/"+suffix, "vr/"+suffix
+		cells = append(cells, p...)
 	}
-	return runVariants(cfg, tr, variants)
+	return ablate(cfg, cells)
 }
 
 // AblationNetworkRAM exercises the Section 2.3 escape hatch for jobs whose
@@ -200,23 +114,7 @@ func AblationSharedNetwork(cfg RunConfig, level int) ([]AblationResult, error) {
 // workstations) is run under V-Reconfiguration with disk-backed reserved
 // service and with network-RAM-backed reserved service.
 func AblationNetworkRAM(cfg RunConfig, level int) ([]AblationResult, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if level < 1 || level > len(trace.Levels) {
-		return nil, fmt.Errorf("experiments: level %d out of range", level)
-	}
-	lvl := trace.Levels[level-1]
-	tr, err := trace.Generate(trace.Config{
-		Name:     fmt.Sprintf("Oversized-Trace-%d", level),
-		Group:    cfg.Group,
-		Sigma:    lvl.Sigma,
-		Mu:       lvl.Sigma,
-		Jobs:     lvl.Jobs,
-		Duration: lvl.Duration,
-		Nodes:    trace.StandardNodes,
-		Seed:     cfg.Seed,
-	})
+	tr, err := cfg.generated(level, "Oversized-Trace", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -226,21 +124,11 @@ func AblationNetworkRAM(cfg RunConfig, level int) ([]AblationResult, error) {
 			tr.Items[i].WorkingSetMB = 420
 		}
 	}
-	var variants []ablationVariant
-	for _, v := range []struct {
-		name string
-		opts core.Options
-	}{
-		{"vr-disk-paging", core.Options{Rule: cfg.Rule}},
-		{"vr-network-ram", core.Options{Rule: cfg.Rule, NetworkRAM: true}},
-	} {
-		opts := v.opts
-		variants = append(variants, ablationVariant{
-			name:  v.name,
-			build: func() (cluster.Scheduler, error) { return core.NewVReconfiguration(opts) },
-		})
-	}
-	return runVariants(cfg, tr, variants)
+	ccfg := cfg.clusterConfig()
+	return ablate(cfg, []cell{
+		{name: "vr-disk-paging", trace: tr, cfg: ccfg, sched: vr(core.Options{Rule: cfg.Rule})},
+		{name: "vr-network-ram", trace: tr, cfg: ccfg, sched: vr(core.Options{Rule: cfg.Rule, NetworkRAM: true})},
+	})
 }
 
 // AblationHeterogeneous runs one trace on a heterogeneous cluster mixing
@@ -248,14 +136,11 @@ func AblationNetworkRAM(cfg RunConfig, level int) ([]AblationResult, error) {
 // heterogeneous cluster system, a reserved workstation will be the one
 // with relatively large physical memory space").
 func AblationHeterogeneous(cfg RunConfig, level int) ([]AblationResult, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	tr, err := trace.Standard(cfg.Group, level, cfg.Seed)
+	tr, err := cfg.standard(level)
 	if err != nil {
 		return nil, err
 	}
-	base := clusterConfig(cfg.Group)
+	base := cfg.clusterConfig()
 	protos := base.Nodes[:1]
 	big := protos[0]
 	big.Memory.CapacityMB *= 1.5
@@ -264,31 +149,15 @@ func AblationHeterogeneous(cfg RunConfig, level int) ([]AblationResult, error) {
 	small.Memory.CapacityMB *= 0.75
 	het := cluster.Heterogeneous(len(base.Nodes), []node.Config{big, protos[0], small, protos[0]}, protos[0].CPUSpeedMHz)
 	het.Seed = base.Seed
+	het.Quantum = cfg.Quantum
+	return ablate(cfg, pair(cfg, tr, het))
+}
 
-	variants := []ablationVariant{
-		{name: "g-loadsharing", build: func() (cluster.Scheduler, error) { return policy.NewGLoadSharing(), nil }},
-		{name: "v-reconfiguration", build: func() (cluster.Scheduler, error) {
-			return core.NewVReconfiguration(core.Options{Rule: cfg.Rule})
-		}},
+// pair is the paired comparison of one trace on one cluster: the
+// G-Loadsharing baseline and V-Reconfiguration under cfg.Rule.
+func pair(cfg RunConfig, tr *trace.Trace, ccfg cluster.Config) []cell {
+	return []cell{
+		{name: "g-loadsharing", trace: tr, cfg: ccfg, sched: gls},
+		{name: "v-reconfiguration", trace: tr, cfg: ccfg, sched: vr(core.Options{Rule: cfg.Rule})},
 	}
-	return runner.Map(cfg.Parallel, variants, func(_ int, v ablationVariant) (AblationResult, error) {
-		sched, err := v.build()
-		if err != nil {
-			return AblationResult{}, err
-		}
-		hcfg := het
-		// Each task gets its own node-config slice: cluster.New only reads
-		// it, but no variant may share a mutable backing array with another.
-		hcfg.Nodes = append([]node.Config(nil), het.Nodes...)
-		hcfg.Quantum = cfg.Quantum
-		c, err := cluster.New(hcfg, sched)
-		if err != nil {
-			return AblationResult{}, err
-		}
-		res, err := c.Run(tr.Clone())
-		if err != nil {
-			return AblationResult{}, fmt.Errorf("ablation heterogeneous %s: %w", v.name, err)
-		}
-		return AblationResult{Variant: v.name, Result: res}, nil
-	})
 }

@@ -9,8 +9,6 @@ import (
 	"vrcluster/internal/core"
 	"vrcluster/internal/faults"
 	"vrcluster/internal/metrics"
-	"vrcluster/internal/policy"
-	"vrcluster/internal/runner"
 	"vrcluster/internal/trace"
 )
 
@@ -44,13 +42,6 @@ type ChaosRow struct {
 	Violations int // invariant breaches (a passing grid is all zeros)
 }
 
-// chaosPoint is one (scenario, level, policy) cell of the grid.
-type chaosPoint struct {
-	scen  ChaosScenario
-	level int
-	vr    bool
-}
-
 // ChaosSweep runs the elastic-membership chaos grid: every scenario at
 // every level under both policies, with the runtime invariant auditor
 // checking job conservation, memory accounting, lease integrity, and the
@@ -65,27 +56,43 @@ func ChaosSweep(cfg RunConfig, scenarios []ChaosScenario) ([]ChaosRow, error) {
 	if len(scenarios) == 0 {
 		scenarios = DefaultChaosScenarios
 	}
-	var points []chaosPoint
+	traces := make([]*trace.Trace, len(cfg.Levels))
+	for i, lvl := range cfg.Levels {
+		tr, err := trace.Standard(cfg.Group, lvl, cfg.Seed)
+		if err != nil {
+			return nil, err
+		}
+		traces[i] = tr
+	}
+	var cells []cell
+	var rows []ChaosRow
 	for _, s := range scenarios {
-		for _, lvl := range cfg.Levels {
-			points = append(points, chaosPoint{scen: s, level: lvl, vr: false})
-			points = append(points, chaosPoint{scen: s, level: lvl, vr: true})
+		for i, lvl := range cfg.Levels {
+			name := fmt.Sprintf("chaos %s level %d", s.Name, lvl)
+			ccfg := chaosConfig(cfg, s, traces[i])
+			cells = append(cells,
+				cell{name: name, trace: traces[i], cfg: ccfg, sched: gls},
+				cell{name: name, trace: traces[i], cfg: ccfg, sched: vr(core.Options{Rule: cfg.Rule, Lease: DefaultFaultLease})})
+			rows = append(rows, ChaosRow{Scenario: s.Name, Level: lvl}, ChaosRow{Scenario: s.Name, Level: lvl})
 		}
 	}
-	return runner.Map(cfg.Parallel, points, func(_ int, pt chaosPoint) (ChaosRow, error) {
-		row, err := runChaosPoint(cfg, pt)
-		if err != nil {
-			return ChaosRow{}, fmt.Errorf("experiments: chaos %s level %d: %w", pt.scen.Name, pt.level, err)
-		}
-		return row, nil
-	})
+	runs, err := runGrid(cfg, cells)
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range runs {
+		aud := r.c.Auditor()
+		rows[i].Policy, rows[i].Result = r.res.Policy, r.res
+		rows[i].Audits, rows[i].Violations = aud.Checks(), len(aud.Violations())
+	}
+	return rows, nil
 }
 
-func runChaosPoint(cfg RunConfig, pt chaosPoint) (ChaosRow, error) {
-	tr, err := trace.Standard(cfg.Group, pt.level, cfg.Seed)
-	if err != nil {
-		return ChaosRow{}, err
-	}
+// chaosConfig is the cluster of one (scenario, level) cell: the baseline
+// fault dimensions scaled to the trace's mean job runtime, plus the
+// scenario's membership script, domain faults and autoscaler, with the
+// invariant auditor on.
+func chaosConfig(cfg RunConfig, scen ChaosScenario, tr *trace.Trace) cluster.Config {
 	var totalCPU, horizonMillis int64
 	for _, it := range tr.Items {
 		totalCPU += it.CPUMillis
@@ -96,8 +103,7 @@ func runChaosPoint(cfg RunConfig, pt chaosPoint) (ChaosRow, error) {
 	meanRuntime := time.Duration(totalCPU/int64(len(tr.Items))) * time.Millisecond
 	horizon := time.Duration(horizonMillis) * time.Millisecond
 
-	ccfg := clusterConfig(cfg.Group)
-	ccfg.Quantum = cfg.Quantum
+	ccfg := cfg.clusterConfig()
 	ccfg.Audit = true
 	proto := ccfg.Nodes[0]
 
@@ -107,14 +113,14 @@ func runChaosPoint(cfg RunConfig, pt chaosPoint) (ChaosRow, error) {
 		DropRate:  0.05,
 		AbortRate: 0.1,
 	}
-	if pt.scen.Domains {
+	if scen.Domains {
 		plan.Domains = 4
 		plan.DomainMTBF = time.Duration(60 * float64(meanRuntime))
 		plan.PartitionMTBF = time.Duration(40 * float64(meanRuntime))
 	}
 	ccfg.Faults = plan
 
-	if pt.scen.Membership {
+	if scen.Membership {
 		n := len(ccfg.Nodes)
 		ccfg.Membership = []cluster.MembershipEvent{
 			{At: horizon / 4, Kind: cluster.MemberJoin, Node: proto},
@@ -123,50 +129,14 @@ func runChaosPoint(cfg RunConfig, pt chaosPoint) (ChaosRow, error) {
 			{At: 2 * horizon / 3, Kind: cluster.MemberDrain, ID: n - 2},
 		}
 	}
-	if pt.scen.Autoscale {
+	if scen.Autoscale {
 		ccfg.Autoscale = cluster.AutoscaleConfig{
 			MaxNodes: len(ccfg.Nodes) + 8,
 			MinNodes: len(ccfg.Nodes) / 2,
 			Proto:    proto,
 		}
 	}
-
-	var sched cluster.Scheduler
-	if pt.vr {
-		vr, err := core.NewVReconfiguration(core.Options{Rule: cfg.Rule, Lease: DefaultFaultLease})
-		if err != nil {
-			return ChaosRow{}, err
-		}
-		sched = vr
-	} else {
-		sched = policy.NewGLoadSharing()
-	}
-
-	c, err := cluster.New(ccfg, sched)
-	if err != nil {
-		return ChaosRow{}, err
-	}
-	res, err := c.Run(tr.Clone())
-	if err != nil {
-		return ChaosRow{}, err
-	}
-	if res.Completed+res.Killed != res.Jobs {
-		return ChaosRow{}, fmt.Errorf("wedged: %d completed + %d killed of %d jobs",
-			res.Completed, res.Killed, res.Jobs)
-	}
-	aud := c.Auditor()
-	row := ChaosRow{
-		Scenario: pt.scen.Name,
-		Level:    pt.level,
-		Policy:   sched.Name(),
-		Result:   res,
-		Audits:   aud.Checks(),
-	}
-	row.Violations = len(aud.Violations())
-	if row.Violations > 0 {
-		return ChaosRow{}, aud.Violations()[0]
-	}
-	return row, nil
+	return ccfg
 }
 
 // RenderChaos writes the chaos grid as a fixed-width text table, one row

@@ -16,8 +16,6 @@ import (
 	"vrcluster/internal/core"
 	"vrcluster/internal/metrics"
 	"vrcluster/internal/obs"
-	"vrcluster/internal/policy"
-	"vrcluster/internal/runner"
 	"vrcluster/internal/trace"
 	"vrcluster/internal/workload"
 )
@@ -80,6 +78,39 @@ func (c *RunConfig) validate() error {
 	return nil
 }
 
+// standard validates the config and builds the standard trace of one
+// level.
+func (c *RunConfig) standard(level int) (*trace.Trace, error) {
+	if err := c.validate(); err != nil {
+		return nil, err
+	}
+	return trace.Standard(c.Group, level, c.Seed)
+}
+
+// generated validates the config and builds a trace with the intensity,
+// size and window of one standard level, drawn from the named programs
+// (every program of the group when nil).
+func (c *RunConfig) generated(level int, name string, programs []string) (*trace.Trace, error) {
+	if err := c.validate(); err != nil {
+		return nil, err
+	}
+	if level < 1 || level > len(trace.Levels) {
+		return nil, fmt.Errorf("experiments: level %d out of range", level)
+	}
+	lvl := trace.Levels[level-1]
+	return trace.Generate(trace.Config{
+		Name:     fmt.Sprintf("%s-%d", name, level),
+		Group:    c.Group,
+		Sigma:    lvl.Sigma,
+		Mu:       lvl.Sigma,
+		Jobs:     lvl.Jobs,
+		Duration: lvl.Duration,
+		Nodes:    trace.StandardNodes,
+		Seed:     c.Seed,
+		Programs: programs,
+	})
+}
+
 // LevelRun holds the paired results for one submission intensity.
 type LevelRun struct {
 	Level   int
@@ -113,84 +144,55 @@ func (gr *GroupRuns) Speedup() float64 {
 	return float64(gr.Work) / float64(gr.Wall)
 }
 
-// clusterConfig returns the simulated cluster matching the group.
-func clusterConfig(g workload.Group) cluster.Config {
-	if g == workload.Group2 {
-		return cluster.Cluster2()
+// clusterConfig returns the simulated cluster matching the group, at the
+// configured quantum.
+func (c RunConfig) clusterConfig() cluster.Config {
+	cfg := cluster.Cluster1()
+	if c.Group == workload.Group2 {
+		cfg = cluster.Cluster2()
 	}
-	return cluster.Cluster1()
+	cfg.Quantum = c.Quantum
+	return cfg
 }
 
-// Run executes the paired trace-driven simulations for a group. Levels
-// fan out across cfg.Parallel workers; each level builds its own trace,
-// clusters, and schedulers, so results are byte-identical to a sequential
-// sweep of the same seeds.
+// Run executes the paired trace-driven simulations for a group: every
+// level's trace under G-Loadsharing and under V-Reconfiguration, fanned
+// out across cfg.Parallel workers with results byte-identical to a
+// sequential sweep of the same seeds.
 func Run(cfg RunConfig) (*GroupRuns, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	levels, err := runner.MapTimed(cfg.Parallel, cfg.Levels, func(_ int, lvl int) (LevelRun, error) {
-		return runLevel(cfg, lvl)
-	})
+	ccfg := cfg.clusterConfig()
+	var cells []cell
+	for _, lvl := range cfg.Levels {
+		tr, err := trace.Standard(cfg.Group, lvl, cfg.Seed)
+		if err != nil {
+			return nil, err
+		}
+		name := fmt.Sprintf("level %d", lvl)
+		cells = append(cells,
+			cell{name: name, trace: tr, cfg: ccfg, sched: gls},
+			cell{name: name, trace: tr, cfg: ccfg, sched: vr(core.Options{Rule: cfg.Rule})})
+	}
+	runs, err := runGrid(cfg, cells)
 	if err != nil {
 		return nil, err
 	}
 	out := &GroupRuns{Group: cfg.Group, Wall: time.Since(start)}
-	for _, lr := range levels {
-		lr.Value.Elapsed = lr.Elapsed
+	for i, lvl := range cfg.Levels {
+		base, v := runs[2*i], runs[2*i+1]
+		recs := v.manager().Records()
+		gain, err := analytic.Compare(base.res, v.res, recs)
+		if err != nil {
+			return nil, err
+		}
+		lr := LevelRun{Level: lvl, Base: base.res, VR: v.res, Gain: gain, Records: recs, Elapsed: base.elapsed + v.elapsed}
 		out.Work += lr.Elapsed
-		out.Levels = append(out.Levels, lr.Value)
+		out.Levels = append(out.Levels, lr)
 	}
 	return out, nil
-}
-
-// runLevel executes one submission level's paired comparison. The trace
-// is generated locally and each policy replays its own deep copy, so a
-// level is fully self-contained — the property the parallel fan-out (and
-// the paired comparison itself) relies on.
-func runLevel(cfg RunConfig, lvl int) (LevelRun, error) {
-	tr, err := trace.Standard(cfg.Group, lvl, cfg.Seed)
-	if err != nil {
-		return LevelRun{}, err
-	}
-	base, err := runOne(cfg, tr.Clone(), policy.NewGLoadSharing(), nil)
-	if err != nil {
-		return LevelRun{}, err
-	}
-	vrSched, err := core.NewVReconfiguration(core.Options{Rule: cfg.Rule})
-	if err != nil {
-		return LevelRun{}, err
-	}
-	vr, err := runOne(cfg, tr.Clone(), vrSched, nil)
-	if err != nil {
-		return LevelRun{}, err
-	}
-	recs := vrSched.Manager().Records()
-	gain, err := analytic.Compare(base, vr, recs)
-	if err != nil {
-		return LevelRun{}, err
-	}
-	return LevelRun{Level: lvl, Base: base, VR: vr, Gain: gain, Records: recs}, nil
-}
-
-func runOne(cfg RunConfig, tr *trace.Trace, sched cluster.Scheduler, mutate func(*cluster.Config)) (*metrics.Result, error) {
-	ccfg := clusterConfig(cfg.Group)
-	ccfg.Quantum = cfg.Quantum
-	if mutate != nil {
-		mutate(&ccfg)
-	}
-	if cfg.Metrics != nil {
-		if ccfg.Obs == nil {
-			ccfg.Obs = obs.NewStreamTracer()
-		}
-		ccfg.Obs.SetMetrics(cfg.Metrics.Series(sched.Name(), tr.Name, trace.LevelFromName(tr.Name)))
-	}
-	c, err := cluster.New(ccfg, sched)
-	if err != nil {
-		return nil, err
-	}
-	return c.Run(tr)
 }
 
 // Row is one trace's comparison in a figure: the measured baseline and
@@ -428,9 +430,9 @@ type SeedRow struct {
 // the base-seed trace (cfg.Seed, up to DefaultWarmupFrac of the window)
 // joined with the tail of the seed's own trace, so every cell shares an
 // identical prefix. With cfg.Fork that prefix is simulated once per chunk
-// and each cell forks from the snapshot; otherwise every cell runs its
-// composite from scratch. Both strategies produce byte-identical rows at
-// any cfg.Parallel width.
+// and policy, and each cell forks from the snapshot; otherwise every cell
+// runs its composite from scratch. Both strategies produce byte-identical
+// rows at any cfg.Parallel width.
 func SeedSensitivity(cfg RunConfig, level int, seeds []int64) ([]SeedRow, error) {
 	if len(seeds) == 0 {
 		return nil, errors.New("experiments: no seeds")
@@ -438,14 +440,34 @@ func SeedSensitivity(cfg RunConfig, level int, seeds []int64) ([]SeedRow, error)
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	head, cells, at, err := seedComposites(cfg, level, seeds)
+	pg, comps, err := seedComposites(cfg, level, seeds)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Fork {
-		return seedRowsForked(cfg, head, at, cells)
+	// One warmup per policy: the two groups share the head but not the
+	// scheduler.
+	pv := &prefix{head: pg.head, at: pg.at}
+	ccfg := cfg.clusterConfig()
+	cells := make([]cell, 0, 2*len(seeds))
+	for i, comp := range comps {
+		g, v := pg, pv
+		if len(comp.Items) == len(pg.head.Items) {
+			// An empty tail runs fresh: a held-open warmup would
+			// out-sample a fresh run that quiesces before the fork point.
+			g, v = nil, nil
+		}
+		name := fmt.Sprintf("seed %d", seeds[i])
+		cells = append(cells,
+			cell{name: name, trace: comp, cfg: ccfg, sched: gls, prefix: g},
+			cell{name: name, trace: comp, cfg: ccfg, sched: vr(core.Options{Rule: cfg.Rule}), prefix: v})
 	}
-	return runner.Map(cfg.Parallel, cells, func(_ int, cell seedCell) (SeedRow, error) {
-		return runSeedCellFresh(cfg, cell)
-	})
+	runs, err := runGrid(cfg, cells)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]SeedRow, len(seeds))
+	for i, seed := range seeds {
+		rows[i] = seedRow(seed, runs[2*i].res, runs[2*i+1].res)
+	}
+	return rows, nil
 }

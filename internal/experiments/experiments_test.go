@@ -380,54 +380,7 @@ func TestSeedSensitivity(t *testing.T) {
 	}
 }
 
-// Determinism regression: the full Group1 level-1..3 experiment must be
-// byte-identical between the sequential path and a parallel=4 fan-out —
-// every metrics.Result (including its sample series) and every
-// reservation record. This is the contract that makes the runner safe to
-// use for any sweep in this repo.
-func TestParallelRunMatchesSequential(t *testing.T) {
-	cfg := RunConfig{
-		Group:   workload.Group1,
-		Quantum: 100 * time.Millisecond,
-		Levels:  []int{1, 2, 3},
-	}
-	seq := cfg
-	seq.Parallel = 1
-	par := cfg
-	par.Parallel = 4
-
-	a, err := Run(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Levels) != len(b.Levels) {
-		t.Fatalf("level counts differ: %d vs %d", len(a.Levels), len(b.Levels))
-	}
-	for i := range a.Levels {
-		la, lb := a.Levels[i], b.Levels[i]
-		if la.Level != lb.Level {
-			t.Fatalf("level order differs at %d: %d vs %d", i, la.Level, lb.Level)
-		}
-		if !reflect.DeepEqual(la.Base, lb.Base) {
-			t.Errorf("level %d: base results differ between sequential and parallel", la.Level)
-		}
-		if !reflect.DeepEqual(la.VR, lb.VR) {
-			t.Errorf("level %d: VR results differ between sequential and parallel", la.Level)
-		}
-		if !reflect.DeepEqual(la.Gain, lb.Gain) {
-			t.Errorf("level %d: gains differ between sequential and parallel", la.Level)
-		}
-		if !reflect.DeepEqual(la.Records, lb.Records) {
-			t.Errorf("level %d: reservation records differ between sequential and parallel", la.Level)
-		}
-	}
-}
-
-// Seed sweeps must likewise be order- and content-identical under fan-out.
+// Seed sweeps must be order- and content-identical under fan-out.
 func TestParallelSeedSensitivityMatchesSequential(t *testing.T) {
 	cfg := fastConfig()
 	seeds := []int64{7, 21, 42}
@@ -445,26 +398,6 @@ func TestParallelSeedSensitivityMatchesSequential(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("seed rows differ:\nsequential: %+v\nparallel:   %+v", a, b)
-	}
-}
-
-// Ablation grids fan out per variant; results must stay in input order
-// and be identical to the sequential pass.
-func TestParallelAblationMatchesSequential(t *testing.T) {
-	seq := fastConfig()
-	seq.Parallel = 1
-	par := fastConfig()
-	par.Parallel = 4
-	a, err := AblationRules(seq, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := AblationRules(par, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Error("ablation results differ between sequential and parallel")
 	}
 }
 
@@ -537,58 +470,6 @@ func TestFaultSweepValidation(t *testing.T) {
 	}
 	if _, err := FaultSweep(RunConfig{Group: 99}, 1, faults.Plan{}, nil); err == nil {
 		t.Error("bad group should fail")
-	}
-}
-
-// TestParallelFaultSweepMatchesSequential extends the parallel-vs-
-// sequential determinism guarantee to faulty runs: the same seed and
-// fault plan yield byte-identical results at any fan-out width.
-func TestParallelFaultSweepMatchesSequential(t *testing.T) {
-	plan := faults.Plan{Crash: faults.Requeue, DropRate: 0.1, AbortRate: 0.2}
-	seq := RunConfig{Group: workload.Group1, Quantum: 100 * time.Millisecond, Parallel: 1}
-	par := seq
-	par.Parallel = 4
-	a, err := FaultSweep(seq, 1, plan, []float64{50, 20, 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := FaultSweep(par, 1, plan, []float64{50, 20, 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Error("fault sweep differs between sequential and parallel execution")
-	}
-}
-
-// TestParallelChaosSweepMatchesSequential pins the chaos grid — scripted
-// membership churn, correlated domain faults, and the autoscaler all active
-// at once — to the same determinism contract as every other sweep:
-// byte-identical rows at any fan-out width, with the invariant auditor
-// reporting zero violations in every cell.
-func TestParallelChaosSweepMatchesSequential(t *testing.T) {
-	scens := []ChaosScenario{{Name: "churn+domains", Membership: true, Domains: true, Autoscale: true}}
-	seq := RunConfig{Group: workload.Group1, Quantum: 100 * time.Millisecond, Parallel: 1, Levels: []int{1}}
-	par := seq
-	par.Parallel = 8
-	a, err := ChaosSweep(seq, scens)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ChaosSweep(par, scens)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Error("chaos grid differs between sequential and parallel execution")
-	}
-	for _, r := range a {
-		if r.Audits == 0 {
-			t.Errorf("%s level %d %s: auditor never ran", r.Scenario, r.Level, r.Policy)
-		}
-		if r.Violations != 0 {
-			t.Errorf("%s level %d %s: %d auditor violations", r.Scenario, r.Level, r.Policy, r.Violations)
-		}
 	}
 }
 

@@ -5,12 +5,9 @@ import (
 	"io"
 	"time"
 
-	"vrcluster/internal/cluster"
 	"vrcluster/internal/core"
 	"vrcluster/internal/faults"
 	"vrcluster/internal/metrics"
-	"vrcluster/internal/runner"
-	"vrcluster/internal/trace"
 )
 
 // FaultRow is one failure-rate point of the fault sweep: the trace run
@@ -42,12 +39,6 @@ var DefaultFaultMultiples = []float64{100, 50, 20, 10}
 // wedges — every job must end completed or recorded killed — so a sweep
 // that returns without error demonstrates graceful degradation.
 func FaultSweep(cfg RunConfig, level int, plan faults.Plan, multiples []float64) ([]FaultRow, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if level < 1 || level > len(trace.Levels) {
-		return nil, fmt.Errorf("experiments: level %d out of range", level)
-	}
 	if len(multiples) == 0 {
 		multiples = DefaultFaultMultiples
 	}
@@ -56,7 +47,7 @@ func FaultSweep(cfg RunConfig, level int, plan faults.Plan, multiples []float64)
 			return nil, fmt.Errorf("experiments: MTBF multiple %v must be positive", m)
 		}
 	}
-	tr, err := trace.Standard(cfg.Group, level, cfg.Seed)
+	tr, err := cfg.standard(level)
 	if err != nil {
 		return nil, err
 	}
@@ -66,25 +57,23 @@ func FaultSweep(cfg RunConfig, level int, plan faults.Plan, multiples []float64)
 	}
 	meanRuntime := time.Duration(totalCPU/int64(len(tr.Items))) * time.Millisecond
 
-	return runner.Map(cfg.Parallel, multiples, func(_ int, mult float64) (FaultRow, error) {
-		p := plan
-		p.MTBF = time.Duration(mult * float64(meanRuntime))
-		sched, err := core.NewVReconfiguration(core.Options{Rule: cfg.Rule, Lease: DefaultFaultLease})
-		if err != nil {
-			return FaultRow{}, err
-		}
-		res, err := runOne(cfg, tr.Clone(), sched, func(cc *cluster.Config) {
-			cc.Faults = p
-		})
-		if err != nil {
-			return FaultRow{}, fmt.Errorf("experiments: MTBF %v (%gx mean runtime): %w", p.MTBF, mult, err)
-		}
-		if res.Completed+res.Killed != res.Jobs {
-			return FaultRow{}, fmt.Errorf("experiments: MTBF %v wedged: %d completed + %d killed of %d jobs",
-				p.MTBF, res.Completed, res.Killed, res.Jobs)
-		}
-		return FaultRow{Multiple: mult, MTBF: p.MTBF, Result: res, Stats: sched.Manager().Stats()}, nil
-	})
+	cells := make([]cell, len(multiples))
+	for i, mult := range multiples {
+		ccfg := cfg.clusterConfig()
+		ccfg.Faults = plan
+		ccfg.Faults.MTBF = time.Duration(mult * float64(meanRuntime))
+		cells[i] = cell{name: fmt.Sprintf("MTBF %v (%gx mean runtime)", ccfg.Faults.MTBF, mult), trace: tr, cfg: ccfg,
+			sched: vr(core.Options{Rule: cfg.Rule, Lease: DefaultFaultLease})}
+	}
+	runs, err := runGrid(cfg, cells)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]FaultRow, len(runs))
+	for i, r := range runs {
+		rows[i] = FaultRow{Multiple: multiples[i], MTBF: cells[i].cfg.Faults.MTBF, Result: r.res, Stats: r.manager().Stats()}
+	}
+	return rows, nil
 }
 
 // RenderFaultRows writes the fault sweep as a fixed-width text table, one

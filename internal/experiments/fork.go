@@ -9,7 +9,6 @@ import (
 	"vrcluster/internal/core"
 	"vrcluster/internal/metrics"
 	"vrcluster/internal/policy"
-	"vrcluster/internal/runner"
 	"vrcluster/internal/trace"
 )
 
@@ -25,40 +24,28 @@ func warmupInstant(level int) time.Duration {
 	return time.Duration(DefaultWarmupFrac * float64(lvl.Duration))
 }
 
-// seedCell is one seed-sensitivity cell: the composite workload whose
-// warmup prefix comes from the base seed and whose tail comes from the
-// cell's own seed.
-type seedCell struct {
-	seed int64
-	comp *trace.Trace
-}
-
-// seedComposites builds the shared warmup prefix and every cell's
-// composite trace for one level.
-func seedComposites(cfg RunConfig, level int, seeds []int64) (head *trace.Trace, cells []seedCell, at time.Duration, err error) {
-	if level < 1 || level > len(trace.Levels) {
-		return nil, nil, 0, fmt.Errorf("experiments: level %d out of range", level)
-	}
-	at = warmupInstant(level)
+// seedComposites builds the shared warmup prefix and every seed's
+// composite trace for one level: the head of the base-seed trace joined
+// with the tail of the seed's own.
+func seedComposites(cfg RunConfig, level int, seeds []int64) (*prefix, []*trace.Trace, error) {
 	base, err := trace.Standard(cfg.Group, level, cfg.Seed)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
-	head, _ = base.SplitAt(at)
-	cells = make([]seedCell, 0, len(seeds))
-	for _, seed := range seeds {
+	p := &prefix{at: warmupInstant(level)}
+	p.head, _ = base.SplitAt(p.at)
+	comps := make([]*trace.Trace, len(seeds))
+	for i, seed := range seeds {
 		per, err := trace.Standard(cfg.Group, level, seed)
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, nil, err
 		}
-		_, tail := per.SplitAt(at)
-		comp, err := trace.Composite(fmt.Sprintf("%s/seed%d", base.Name, seed), head, tail)
-		if err != nil {
-			return nil, nil, 0, err
+		_, tail := per.SplitAt(p.at)
+		if comps[i], err = trace.Composite(fmt.Sprintf("%s/seed%d", base.Name, seed), p.head, tail); err != nil {
+			return nil, nil, err
 		}
-		cells = append(cells, seedCell{seed: seed, comp: comp})
 	}
-	return head, cells, at, nil
+	return p, comps, nil
 }
 
 // seedRow condenses one cell's paired results into its headline reductions.
@@ -69,163 +56,6 @@ func seedRow(seed int64, base, vr *metrics.Result) SeedRow {
 		Queue:    metrics.Reduction(base.TotalQueue.Seconds(), vr.TotalQueue.Seconds()),
 		Slowdown: metrics.Reduction(base.MeanSlowdown, vr.MeanSlowdown),
 	}
-}
-
-// seedSchedulers builds the paired policies of one seed-sensitivity cell.
-func seedSchedulers(cfg RunConfig) (gls, vr cluster.Scheduler, err error) {
-	v, err := core.NewVReconfiguration(core.Options{Rule: cfg.Rule})
-	if err != nil {
-		return nil, nil, err
-	}
-	return policy.NewGLoadSharing(), v, nil
-}
-
-// runSeedCellFresh runs one cell's composite from scratch under both
-// policies — the reference execution, and the fallback for cells whose
-// tail is empty (where a held-open warmup would out-sample a fresh run
-// that quiesces before the fork point).
-func runSeedCellFresh(cfg RunConfig, cell seedCell) (SeedRow, error) {
-	gls, vr, err := seedSchedulers(cfg)
-	if err != nil {
-		return SeedRow{}, err
-	}
-	base, err := runOne(cfg, cell.comp.Clone(), gls, nil)
-	if err != nil {
-		return SeedRow{}, fmt.Errorf("seed %d: %w", cell.seed, err)
-	}
-	vres, err := runOne(cfg, cell.comp.Clone(), vr, nil)
-	if err != nil {
-		return SeedRow{}, fmt.Errorf("seed %d: %w", cell.seed, err)
-	}
-	return seedRow(cell.seed, base, vres), nil
-}
-
-// forkWarmup arms a cluster on the warmup prefix, simulates it up to the
-// divergence instant, and snapshots the complete state.
-func forkWarmup(cfg RunConfig, head *trace.Trace, at time.Duration, sched cluster.Scheduler) (*cluster.Cluster, *cluster.Snapshot, error) {
-	ccfg := clusterConfig(cfg.Group)
-	ccfg.Quantum = cfg.Quantum
-	c, err := cluster.New(ccfg, sched)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := c.Start(head.Clone()); err != nil {
-		return nil, nil, err
-	}
-	c.HoldOpen(true)
-	if err := c.RunToDivergence(at); err != nil {
-		return nil, nil, err
-	}
-	snap, err := c.Snapshot()
-	if err != nil {
-		return nil, nil, err
-	}
-	return c, snap, nil
-}
-
-// forkFinish rewinds the cluster to the warmup snapshot, injects one
-// cell's tail arrivals, and drives the run to completion.
-func forkFinish(c *cluster.Cluster, snap *cluster.Snapshot, comp *trace.Trace, cut int) (*metrics.Result, error) {
-	if err := c.Restore(snap); err != nil {
-		return nil, err
-	}
-	tailJobs, err := comp.JobsFrom(cut)
-	if err != nil {
-		return nil, err
-	}
-	homes := make([]int, len(tailJobs))
-	for i, it := range comp.Items[cut:] {
-		homes[i] = it.Home
-	}
-	if err := c.InjectArrivals(tailJobs, homes); err != nil {
-		return nil, err
-	}
-	return c.Finish(comp.Name)
-}
-
-// runSeedChunk runs a contiguous block of seed cells off one shared
-// warmup per policy: the prefix is simulated once, then each cell is a
-// rewind-in-place fork that re-simulates only its tail.
-func runSeedChunk(cfg RunConfig, head *trace.Trace, at time.Duration, cells []seedCell) ([]SeedRow, error) {
-	rows := make([]SeedRow, len(cells))
-	results := make([][]*metrics.Result, 2)
-	cut := len(head.Items)
-	for pi := 0; pi < 2; pi++ {
-		gls, vr, err := seedSchedulers(cfg)
-		if err != nil {
-			return nil, err
-		}
-		sched := gls
-		if pi == 1 {
-			sched = vr
-		}
-		c, snap, err := forkWarmup(cfg, head, at, sched)
-		if err != nil {
-			return nil, err
-		}
-		results[pi] = make([]*metrics.Result, len(cells))
-		for i, cell := range cells {
-			if len(cell.comp.Items) == cut {
-				continue // empty tail: handled by the fresh fallback below
-			}
-			res, err := forkFinish(c, snap, cell.comp, cut)
-			if err != nil {
-				return nil, fmt.Errorf("seed %d: %w", cell.seed, err)
-			}
-			results[pi][i] = res
-		}
-	}
-	for i, cell := range cells {
-		if results[0][i] == nil || results[1][i] == nil {
-			row, err := runSeedCellFresh(cfg, cell)
-			if err != nil {
-				return nil, err
-			}
-			rows[i] = row
-			continue
-		}
-		rows[i] = seedRow(cell.seed, results[0][i], results[1][i])
-	}
-	return rows, nil
-}
-
-// chunkRanges splits n items into at most width contiguous chunks of
-// near-equal size.
-func chunkRanges(n, width int) [][2]int {
-	if width <= 0 {
-		width = runner.DefaultParallelism()
-	}
-	if width > n {
-		width = n
-	}
-	out := make([][2]int, 0, width)
-	for i := 0; i < width; i++ {
-		lo, hi := i*n/width, (i+1)*n/width
-		if lo < hi {
-			out = append(out, [2]int{lo, hi})
-		}
-	}
-	return out
-}
-
-// seedRowsForked is the fork execution strategy for SeedSensitivity:
-// seeds are chunked across the runner pool, and each chunk simulates the
-// shared warmup once per policy before fanning its cells out as
-// rewind-in-place forks. Results are byte-identical to the fresh strategy
-// at any width — the fork-vs-fresh equivalence suite enforces it.
-func seedRowsForked(cfg RunConfig, head *trace.Trace, at time.Duration, cells []seedCell) ([]SeedRow, error) {
-	chunks := chunkRanges(len(cells), cfg.Parallel)
-	parts, err := runner.Map(cfg.Parallel, chunks, func(_ int, r [2]int) ([]SeedRow, error) {
-		return runSeedChunk(cfg, head, at, cells[r[0]:r[1]])
-	})
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]SeedRow, 0, len(cells))
-	for _, p := range parts {
-		rows = append(rows, p...)
-	}
-	return rows, nil
 }
 
 // WhatIf is one divergence applied to a running cluster at the warmup
@@ -265,92 +95,24 @@ func StandardWhatIfs(cfg RunConfig) []WhatIf {
 // variant forks from the snapshot; otherwise every variant is a fresh
 // RunDiverged of the full trace. Both strategies are byte-identical.
 func WhatIfGrid(cfg RunConfig, level int, whatIfs []WhatIf) ([]AblationResult, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
 	if len(whatIfs) == 0 {
 		return nil, errors.New("experiments: no what-if variants")
 	}
-	if level < 1 || level > len(trace.Levels) {
-		return nil, fmt.Errorf("experiments: level %d out of range", level)
-	}
-	tr, err := trace.Standard(cfg.Group, level, cfg.Seed)
+	tr, err := cfg.standard(level)
 	if err != nil {
 		return nil, err
 	}
-	at := warmupInstant(level)
-	newVR := func() (cluster.Scheduler, error) {
-		return core.NewVReconfiguration(core.Options{Rule: cfg.Rule})
+	// The full trace is the head — all arrivals, warmup and tail alike —
+	// so the warmed-up state is exactly a fresh run's state at the
+	// divergence instant and no held-open clocks are needed.
+	p := &prefix{head: tr, at: warmupInstant(level)}
+	ccfg := cfg.clusterConfig()
+	cells := make([]cell, len(whatIfs))
+	for i, w := range whatIfs {
+		named := *tr // each variant's result carries its own name
+		named.Name = fmt.Sprintf("%s/%s", tr.Name, w.Name)
+		cells[i] = cell{name: w.Name, trace: &named, cfg: ccfg,
+			sched: vr(core.Options{Rule: cfg.Rule}), diverge: w.Apply, prefix: p}
 	}
-
-	if !cfg.Fork {
-		return runner.Map(cfg.Parallel, whatIfs, func(_ int, w WhatIf) (AblationResult, error) {
-			sched, err := newVR()
-			if err != nil {
-				return AblationResult{}, err
-			}
-			ccfg := clusterConfig(cfg.Group)
-			ccfg.Quantum = cfg.Quantum
-			c, err := cluster.New(ccfg, sched)
-			if err != nil {
-				return AblationResult{}, err
-			}
-			name := fmt.Sprintf("%s/%s", tr.Name, w.Name)
-			res, err := c.RunDiverged(tr.Clone(), name, at, w.Apply)
-			if err != nil {
-				return AblationResult{}, fmt.Errorf("what-if %s: %w", w.Name, err)
-			}
-			return AblationResult{Variant: w.Name, Result: res}, nil
-		})
-	}
-
-	chunks := chunkRanges(len(whatIfs), cfg.Parallel)
-	parts, err := runner.Map(cfg.Parallel, chunks, func(_ int, r [2]int) ([]AblationResult, error) {
-		sched, err := newVR()
-		if err != nil {
-			return nil, err
-		}
-		// The full trace is armed — all arrivals, warmup and tail alike —
-		// so the warmed-up state is exactly a fresh run's state at the
-		// divergence instant; no held-open clocks are needed.
-		ccfg := clusterConfig(cfg.Group)
-		ccfg.Quantum = cfg.Quantum
-		c, err := cluster.New(ccfg, sched)
-		if err != nil {
-			return nil, err
-		}
-		if err := c.Start(tr.Clone()); err != nil {
-			return nil, err
-		}
-		if err := c.RunToDivergence(at); err != nil {
-			return nil, err
-		}
-		snap, err := c.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		out := make([]AblationResult, 0, r[1]-r[0])
-		for _, w := range whatIfs[r[0]:r[1]] {
-			if err := c.Restore(snap); err != nil {
-				return nil, err
-			}
-			if err := w.Apply(c); err != nil {
-				return nil, fmt.Errorf("what-if %s: %w", w.Name, err)
-			}
-			res, err := c.Finish(fmt.Sprintf("%s/%s", tr.Name, w.Name))
-			if err != nil {
-				return nil, fmt.Errorf("what-if %s: %w", w.Name, err)
-			}
-			out = append(out, AblationResult{Variant: w.Name, Result: res})
-		}
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]AblationResult, 0, len(whatIfs))
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out, nil
+	return ablate(cfg, cells)
 }

@@ -8,10 +8,11 @@ import (
 	"vrcluster/internal/workload"
 )
 
-// The fork execution strategy is pure performance: every grid that
-// supports it must produce byte-identical outputs with Fork on and off,
-// at any parallel width. These tests pin that contract at the driver
-// level; the root fork_equivalence_test.go pins it at the cluster level.
+// The fork execution strategy is pure performance: TestGridDeterminism
+// pins every grid's outputs with Fork on to the fresh strategy at any
+// parallel width, and the root fork_equivalence_test.go pins the contract
+// at the cluster level. The seed tests below repeat that contract on
+// their own seed sets; the rest cover the forked grids' own shape.
 
 func TestSeedSensitivityForkMatchesFresh(t *testing.T) {
 	seeds := []int64{7, 21, 42, 99}
@@ -89,35 +90,6 @@ func TestWhatIfGrid(t *testing.T) {
 
 	if _, err := WhatIfGrid(cfg, 1, nil); err == nil {
 		t.Error("empty variant list should fail")
-	}
-}
-
-func TestWhatIfGridForkMatchesFresh(t *testing.T) {
-	whatIfs := StandardWhatIfs(fastConfig())
-	for _, parallel := range []int{1, 4} {
-		fresh := fastConfig()
-		fresh.Parallel = parallel
-		a, err := WhatIfGrid(fresh, 1, whatIfs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		forked := fresh
-		forked.Fork = true
-		b, err := WhatIfGrid(forked, 1, whatIfs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a) != len(b) {
-			t.Fatalf("parallel=%d: result counts differ: %d vs %d", parallel, len(a), len(b))
-		}
-		for i := range a {
-			if a[i].Variant != b[i].Variant {
-				t.Fatalf("parallel=%d: variant order differs at %d: %s vs %s", parallel, i, a[i].Variant, b[i].Variant)
-			}
-			if !reflect.DeepEqual(a[i].Result, b[i].Result) {
-				t.Errorf("parallel=%d: variant %s differs between fresh and fork", parallel, a[i].Variant)
-			}
-		}
 	}
 }
 

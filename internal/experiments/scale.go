@@ -12,7 +12,6 @@ import (
 	"vrcluster/internal/loadinfo"
 	"vrcluster/internal/memory"
 	"vrcluster/internal/node"
-	"vrcluster/internal/runner"
 	"vrcluster/internal/trace"
 	"vrcluster/internal/workload"
 )
@@ -132,7 +131,7 @@ func (p ScalePoint) Speedup() float64 {
 // ScaleSweep is the full scaling curve.
 type ScaleSweep struct {
 	Points []ScalePoint
-	Wall   time.Duration // wall clock of the whole sweep
+	Wall   time.Duration // wall clock of the sweep's simulated runs
 	Work   time.Duration // sum of per-point Wall
 }
 
@@ -148,26 +147,60 @@ func scaleProto() node.Config {
 }
 
 // RunScale executes the scaling sweep: each point generates an n-node
-// trace, runs it under V-Reconfiguration, and then times candidate
-// selection in isolation on a synthetic board of the same size. Points fan
-// out across cfg.Parallel workers; each owns its engine, cluster, and
-// boards, so results are independent of the fan-out width.
+// trace and runs it under V-Reconfiguration, the runs fanning out across
+// cfg.Parallel workers; then candidate selection is timed in isolation on
+// a synthetic board of each size, one point at a time so no run competes
+// with the timings. Each run owns its engine, cluster, and board, so
+// results are independent of the fan-out width.
 func RunScale(cfg ScaleConfig) (*ScaleSweep, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	sizes := cfg.sizes()
+	cells := make([]cell, len(sizes))
+	for i, n := range sizes {
+		tr, err := trace.Generate(trace.Config{
+			Name:     fmt.Sprintf("Scale-%d", n),
+			Group:    workload.Group1,
+			Sigma:    3.0,
+			Mu:       3.0, // the published traces set mu = sigma; 3.0 is the "normal" intensity
+			Jobs:     cfg.jobsFor(n),
+			Duration: 1800 * time.Second,
+			Nodes:    n,
+			Seed:     cfg.Seed,
+			Jitter:   workload.DefaultJitter,
+		})
+		if err != nil {
+			return nil, err
+		}
+		ccfg := cluster.Homogeneous(n, scaleProto())
+		ccfg.Seed = 1
+		ccfg.Quantum = cfg.Quantum
+		cells[i] = cell{name: fmt.Sprintf("scale point %d nodes", n), trace: tr, cfg: ccfg,
+			sched: vr(core.Options{Lease: 30 * time.Second})}
+	}
 	start := time.Now()
-	points, err := runner.MapTimed(cfg.Parallel, cfg.sizes(), func(_ int, n int) (ScalePoint, error) {
-		return runScalePoint(cfg, n)
-	})
+	runs, err := runGrid(RunConfig{Parallel: cfg.Parallel}, cells)
 	if err != nil {
 		return nil, err
 	}
 	out := &ScaleSweep{Wall: time.Since(start)}
-	for _, p := range points {
-		p.Value.Wall = p.Elapsed
-		out.Work += p.Elapsed
-		out.Points = append(out.Points, p.Value)
+	for i, r := range runs {
+		selects, scanned := r.c.Board().SelectStats()
+		p := ScalePoint{
+			Nodes:      sizes[i],
+			Jobs:       cfg.jobsFor(sizes[i]),
+			Partitions: r.c.Board().Partitions(),
+			Wall:       r.elapsed,
+			Makespan:   r.res.Makespan,
+			Selects:    selects,
+			Scanned:    scanned,
+		}
+		if p.HeapNs, p.DenseNs, err = timeSelection(p.Nodes, cfg.Seed); err != nil {
+			return nil, err
+		}
+		out.Work += r.elapsed
+		out.Points = append(out.Points, p)
 	}
 	return out, nil
 }
@@ -178,53 +211,6 @@ func (s *ScaleSweep) Speedup() float64 {
 		return 0
 	}
 	return float64(s.Work) / float64(s.Wall)
-}
-
-// runScalePoint measures one cluster size.
-func runScalePoint(cfg ScaleConfig, n int) (ScalePoint, error) {
-	jobs := cfg.jobsFor(n)
-	tr, err := trace.Generate(trace.Config{
-		Name:     fmt.Sprintf("Scale-%d", n),
-		Group:    workload.Group1,
-		Sigma:    3.0,
-		Mu:       3.0, // the published traces set mu = sigma; 3.0 is the "normal" intensity
-		Jobs:     jobs,
-		Duration: 1800 * time.Second,
-		Nodes:    n,
-		Seed:     cfg.Seed,
-		Jitter:   workload.DefaultJitter,
-	})
-	if err != nil {
-		return ScalePoint{}, err
-	}
-	ccfg := cluster.Homogeneous(n, scaleProto())
-	ccfg.Seed = 1
-	ccfg.Quantum = cfg.Quantum
-	sched, err := core.NewVReconfiguration(core.Options{Lease: 30 * time.Second})
-	if err != nil {
-		return ScalePoint{}, err
-	}
-	c, err := cluster.New(ccfg, sched)
-	if err != nil {
-		return ScalePoint{}, err
-	}
-	res, err := c.Run(tr)
-	if err != nil {
-		return ScalePoint{}, fmt.Errorf("scale point %d nodes: %w", n, err)
-	}
-	selects, scanned := c.Board().SelectStats()
-	p := ScalePoint{
-		Nodes:      n,
-		Jobs:       jobs,
-		Partitions: c.Board().Partitions(),
-		Makespan:   res.Makespan,
-		Selects:    selects,
-		Scanned:    scanned,
-	}
-	if p.HeapNs, p.DenseNs, err = timeSelection(n, cfg.Seed); err != nil {
-		return ScalePoint{}, err
-	}
-	return p, nil
 }
 
 // timeSelection measures BestDestination in isolation on a synthetic

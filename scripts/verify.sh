@@ -8,9 +8,9 @@
 # without the race detector, the quantum fold is fuzzed against dense ticks
 # for 20 s, the benchmark module's tests (bench/) check
 # its result goldens, a vrsim run with every fault dimension
-# enabled smoke-tests self-healing end to end, and a level-1 chaos grid
+# enabled smoke-tests self-healing end to end, a level-1 chaos grid
 # (membership churn + domain faults, invariant auditor on) must complete
-# with zero violations.
+# with zero violations, and the forked seed and what-if grids run once.
 #
 # With --bench, a single-iteration pass over the core benchmarks runs at
 # the end — a smoke check that the hot paths still execute and report,
@@ -57,6 +57,10 @@ go run ./cmd/vrsim -group 2 -level 1 -policy vr -faults \
     >/dev/null
 echo "== chaos-grid smoke run (cmd/vrbench, invariant auditor on)"
 go run ./cmd/vrbench -exp chaos -levels 1 >/dev/null
+# The CLI always forks the seed and what-if grids from a shared warmup.
+echo "== forked-grid smoke runs (cmd/vrbench -exp seeds, -exp ablate)"
+go run ./cmd/vrbench -exp seeds -level 1 >/dev/null
+go run ./cmd/vrbench -exp ablate -level 1 >/dev/null
 if [ "$BENCH" = 1 ]; then
     echo "== bench smoke (single iteration)"
     go test -run '^$' -benchtime=1x \
