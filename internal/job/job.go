@@ -10,6 +10,7 @@ package job
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -207,64 +208,93 @@ func (j *Job) MemoryDemandMB() float64 {
 	return j.MemoryDemandAtMB(j.Progress())
 }
 
-// DemandHorizon reports the job's current memory demand together with a
-// CPU-service horizon: as long as the job's accumulated CPU service stays
-// at or below the horizon, its demand is guaranteed to equal the returned
-// value, because the job is inside a flat memory phase. A zero horizon
-// means the demand may move with any further progress and must be
-// re-evaluated. Nodes use this to skip the per-quantum demand refresh for
-// the (dominant) flat stretches of a job's memory profile.
-func (j *Job) DemandHorizon() (demandMB float64, horizon time.Duration) {
-	return j.DemandHorizonAt(j.cpuDone)
+// Segment is a phase cursor: the stretch (From, Until] of CPU service over
+// which one piece of a job's memory-demand profile applies, with what
+// DemandAt needs to evaluate it there. It caches only values derived from
+// the job's immutable profile, so a holder may keep it across any number of
+// ticks and must rebuild it with SegmentAt once service leaves the stretch.
+// The zero Segment covers no service.
+type Segment struct {
+	From, Until time.Duration
+
+	// On a ramp, cpu, prev and ramp are MemoryDemandAtMB's operands: the
+	// progress divisor, the previous phase boundary and the phase. A flat
+	// segment has no ramp; prev holds its demand.
+	cpu, prev float64
+	ramp      *Phase
 }
 
-// DemandHorizonAt evaluates DemandHorizon as if the job had accumulated the
-// given CPU service, without mutating the job. Nodes use it to replay a
-// ramping job's future demand refreshes when batching quanta; the
-// arithmetic is identical to DemandHorizon's, so the replayed values are
-// bit-equal to what sequential ticks would have produced.
-func (j *Job) DemandHorizonAt(service time.Duration) (demandMB float64, horizon time.Duration) {
-	frac := j.ProgressAt(service)
-	if frac <= 0 || j.CPUDemand <= 0 || len(j.Phases) == 0 {
-		return j.MemoryDemandAtMB(frac), 0
+// Covers reports whether service lies in (From, Until].
+func (s *Segment) Covers(service time.Duration) bool {
+	return service > s.From && service <= s.Until
+}
+
+// Flat reports whether the demand is the same at every covered service.
+func (s *Segment) Flat() bool { return s.ramp == nil }
+
+// DemandAt reports the demand at a covered service, bit-identical to
+// MemoryDemandAtMB(ProgressAt(service)).
+func (s *Segment) DemandAt(service time.Duration) float64 {
+	p := s.ramp
+	if p == nil {
+		return s.prev
 	}
-	// Single scan: ProgressAt clamps frac to [0, 1], so the phase that
-	// MemoryDemandAtMB would interpolate in is the same first phase with
-	// frac <= EndFrac the horizon logic selects; compute both from it with
-	// MemoryDemandAtMB's exact arithmetic.
+	frac := float64(service) / s.cpu
+	if frac > 1 {
+		frac = 1
+	}
+	t := (frac - s.prev) / (p.EndFrac - s.prev)
+	return p.StartMB + t*(p.EndMB-p.StartMB)
+}
+
+// SegmentAt returns the cursor covering a CPU service of at least zero.
+// MemoryDemandAtMB picks the first phase whose EndFrac is at or above the
+// progress, so the phase at progress p > 0 covers the services whose
+// progress lies above the previous boundary and at or below its own; a
+// zero-width phase covers none. Service 0 and a profile with no phases get
+// flat segments of their own.
+func (j *Job) SegmentAt(service time.Duration) Segment {
+	if len(j.Phases) == 0 {
+		return Segment{From: -1, Until: math.MaxInt64}
+	}
+	frac := j.ProgressAt(service)
+	if frac <= 0 {
+		return Segment{From: -1, Until: 0, prev: j.Phases[0].StartMB}
+	}
 	prev := 0.0
-	for _, p := range j.Phases {
+	for i := range j.Phases {
+		p := &j.Phases[i]
 		if frac > p.EndFrac {
 			prev = p.EndFrac
 			continue
 		}
-		if span := p.EndFrac - prev; span <= 0 {
-			demandMB = p.EndMB
-		} else {
-			t := (frac - prev) / span
-			demandMB = p.StartMB + t*(p.EndMB-p.StartMB)
+		s := Segment{From: j.lastServiceAt(prev), Until: math.MaxInt64, cpu: float64(j.CPUDemand), prev: prev, ramp: p}
+		if p.EndFrac < 1 {
+			s.Until = j.lastServiceAt(p.EndFrac)
 		}
-		if p.StartMB != p.EndMB {
-			return demandMB, 0
+		if p.StartMB == p.EndMB {
+			// t*(EndMB-StartMB) is the same at every covered service (t
+			// lies in (0, 1]), so one evaluation is the phase's demand.
+			s.prev, s.ramp = s.DemandAt(service), nil
 		}
-		if p.EndFrac >= 1 {
-			// Final flat phase: demand is fixed for the rest of the
-			// job's life (Progress clamps at 1).
-			return demandMB, j.CPUDemand
-		}
-		// Largest service h with float64(h)/float64(CPUDemand) still
-		// inside this phase; the fix-up loops absorb rounding of the
-		// initial float estimate so the bound is exact.
-		h := time.Duration(p.EndFrac * float64(j.CPUDemand))
-		for h > 0 && float64(h)/float64(j.CPUDemand) > p.EndFrac {
-			h--
-		}
-		for h < j.CPUDemand && float64(h+1)/float64(j.CPUDemand) <= p.EndFrac {
-			h++
-		}
-		return demandMB, h
+		return s
 	}
-	return j.Phases[len(j.Phases)-1].EndMB, 0
+	// A profile that stops short of progress 1 holds its last demand.
+	return Segment{From: j.lastServiceAt(prev), Until: math.MaxInt64, prev: j.Phases[len(j.Phases)-1].EndMB}
+}
+
+// lastServiceAt reports the largest service whose progress is at or below
+// frac < 1. The fix-up loops absorb rounding of the float estimate, so the
+// bound is exact.
+func (j *Job) lastServiceAt(frac float64) time.Duration {
+	h := time.Duration(frac * float64(j.CPUDemand))
+	for h > 0 && float64(h)/float64(j.CPUDemand) > frac {
+		h--
+	}
+	for h < j.CPUDemand && float64(h+1)/float64(j.CPUDemand) <= frac {
+		h++
+	}
+	return h
 }
 
 // MemoryDemandAtMB reports the demand at an arbitrary progress fraction.

@@ -58,8 +58,8 @@ func pressuredPair(t *testing.T) (dense, batched *Node) {
 }
 
 // snapState captures everything a quantum can touch: the node's full
-// snapshot (memory registry and total, coverage, demand caches, flat-phase
-// horizons, lastPressured, fault and stall accumulators) with the job
+// snapshot (memory registry and total, coverage, demand caches,
+// lastPressured, fault and stall accumulators) with the job
 // pointers swapped for the jobs' own snapshots, since twin nodes hold
 // distinct but identically built jobs.
 func snapState(n *Node) (Snapshot, []job.Snapshot) {
@@ -111,7 +111,7 @@ func tickDense(t *testing.T, n *Node, dt, now time.Duration, k int64) (flips int
 
 // land puts j on n at time at: admitted fresh when ticks is zero, else
 // landed as a migration after up to ticks quanta of q on a scratch donor
-// node, so it arrives with progress past its flat-phase horizon.
+// node, so it arrives with progress and an empty phase cursor.
 func land(t *testing.T, n *Node, j *job.Job, q time.Duration, ticks int, at time.Duration) {
 	t.Helper()
 	if ticks == 0 {
@@ -221,15 +221,43 @@ func TestFoldRegimes(t *testing.T) {
 				{cpu: time.Minute, phases: flat(30)},
 				{cpu: time.Minute, phases: ramp(10, 50, 0.3), ioRate: 1, at: 2*q + q/3},
 				{cpu: time.Minute, phases: flat(20), at: 3 * q}, // resident for none of it
-				// Lands with progress past its (zero) flat horizon at the
+				// Lands with progress and an empty phase cursor at the
 				// stretch's first instant: the first tick must skip it.
 				{cpu: time.Minute, phases: ramp(10, 40, 0.5), at: 3 * q, ran: 100},
 			},
 			warm: 2, now: 3 * q, k: 400,
 		},
 		{
+			// Demand stays above user memory throughout (60+50 at the
+			// least), so the ramping job steps the replayed total under
+			// pressure until it leaves its ramp for the flat phase and the
+			// node's ticks fold as runs.
+			name: "pressured ramp into flat",
+			jobs: []admit{
+				{cpu: time.Minute, phases: flat(60)},
+				{cpu: time.Minute, phases: ramp(50, 80, 0.05)},
+			},
+			warm: 1, now: 2 * q, k: 5000,
+			check: pressuredPast(1, 0.05),
+		},
+		{
+			// metis's shape: down to a trough, back up, then flat, with
+			// demand never below 60+50.
+			name: "pressured down-ramp into up-ramp",
+			jobs: []admit{
+				{cpu: time.Minute, phases: flat(60)},
+				{cpu: time.Minute, phases: []job.Phase{
+					{EndFrac: 0.02, StartMB: 90, EndMB: 50},
+					{EndFrac: 0.04, StartMB: 50, EndMB: 85},
+					{EndFrac: 1, StartMB: 85, EndMB: 85},
+				}},
+			},
+			warm: 1, now: 2 * q, k: 5000,
+			check: pressuredPast(1, 0.04),
+		},
+		{
 			// A one-quantum stretch leaves a migrant that landed at its
-			// instant untouched, flat-phase horizon included.
+			// instant untouched.
 			name: "migrant landing at the only tick",
 			jobs: []admit{
 				{cpu: time.Minute, phases: flat(30)},
@@ -280,6 +308,79 @@ func TestFoldRegimes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// pressuredPast checks that a stretch ended pressured with resident job
+// idx's progress past frac, so it crossed the phase boundary there.
+func pressuredPast(idx int, frac float64) func(*testing.T, *Node) {
+	return func(t *testing.T, n *Node) {
+		t.Helper()
+		if p := n.JobAt(idx).Progress(); !n.Pressured() || p <= frac {
+			t.Fatalf("stretch should end pressured past progress %v: pressured=%v progress=%v", frac, n.Pressured(), p)
+		}
+	}
+}
+
+// TestFoldAfterRewind restores a node, taken mid-ramp, after it has moved
+// on into the flat phase, and requires the stretch that follows to match a
+// twin that never moved on, both folded and ticked densely. Restore keeps
+// the job's flat-phase cursor, since the job stays at its index, so only
+// the cursor's From bound tells the node the rewound service left it.
+func TestFoldAfterRewind(t *testing.T) {
+	const q = 10 * time.Millisecond
+	mk := func() *Node {
+		n := watched(newNode(t, 200, 4))
+		for id, ph := range [][]job.Phase{
+			{{EndFrac: 1, StartMB: 40, EndMB: 40}},
+			{{EndFrac: 0.1, StartMB: 30, EndMB: 90}, {EndFrac: 1, StartMB: 90, EndMB: 90}},
+		} {
+			j, err := job.New(id, "rewind", 20*time.Second, ph, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := n.Admit(j, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return n
+	}
+	const mid, k = 100, 1000
+	twin, rewound := mk(), mk()
+	tickDense(t, twin, q, q, mid)
+	tickDense(t, rewound, q, q, mid)
+	ramp := rewound.JobAt(1)
+	if p := ramp.Progress(); p <= 0 || p >= 0.1 {
+		t.Fatalf("snapshot should be mid-ramp, progress %v", p)
+	}
+	if floor := twin.CompletionFloor(q, k); floor != k {
+		t.Fatalf("completion floor %d below the stretch %d", floor, k)
+	}
+	snap := rewound.Snapshot()
+	jobs := []job.Snapshot{rewound.JobAt(0).Snapshot(), ramp.Snapshot()}
+	restore := func() {
+		rewound.Restore(snap)
+		for i, js := range jobs {
+			rewound.JobAt(i).Restore(js)
+		}
+	}
+	now := time.Duration(mid+1) * q
+	if err := rewound.Fold(q, now, k); err != nil {
+		t.Fatal(err)
+	}
+	if p := ramp.Progress(); p <= 0.1 {
+		t.Fatalf("the node should have moved on into the flat phase, progress %v", p)
+	}
+
+	restore()
+	tickDense(t, twin, q, now, k)
+	if err := rewound.Fold(q, now, k); err != nil {
+		t.Fatal(err)
+	}
+	requireSameState(t, twin, rewound, "fold after the rewind")
+
+	restore()
+	tickDense(t, rewound, q, now, k)
+	requireSameState(t, twin, rewound, "dense ticks after the rewind")
 }
 
 // TestFoldRejectsBadQuantum mirrors Tick's quantum validation.

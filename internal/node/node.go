@@ -113,10 +113,12 @@ type Node struct {
 	covered []time.Duration
 	demand  []float64
 
-	// flatUntil[i] is the CPU-service horizon from jobs[i].DemandHorizon:
-	// while the job's accumulated service stays at or below it, the demand
-	// refresh is skipped (the job is in a flat memory phase).
-	flatUntil []time.Duration
+	// cursor[i] is jobs[i]'s phase cursor (job.Segment): while the job's
+	// service stays inside it, a flat cursor skips the demand refresh and a
+	// ramp steps the demand without rescanning the profile. It caches only
+	// what the job's profile and service determine, so Snapshot leaves it
+	// out and Restore keeps it only for a job that stays at its index.
+	cursor []job.Segment
 
 	// ioActive counts resident jobs with a nonzero I/O rate (rates are
 	// fixed before admission), keeping the per-tick cache-availability
@@ -219,7 +221,7 @@ func (n *Node) appendResident(j *job.Job, now time.Duration, demandMB float64) {
 	n.jobs = append(n.jobs, j)
 	n.covered = append(n.covered, now)
 	n.demand = append(n.demand, demandMB)
-	n.flatUntil = append(n.flatUntil, 0)
+	n.cursor = append(n.cursor, job.Segment{})
 	if j.IORate() > 0 {
 		n.ioActive++
 	}
@@ -236,7 +238,7 @@ func (n *Node) removeResidentAt(idx int) {
 	n.jobs = append(n.jobs[:idx], n.jobs[idx+1:]...)
 	n.covered = append(n.covered[:idx], n.covered[idx+1:]...)
 	n.demand = append(n.demand[:idx], n.demand[idx+1:]...)
-	n.flatUntil = append(n.flatUntil[:idx], n.flatUntil[idx+1:]...)
+	n.cursor = append(n.cursor[:idx], n.cursor[idx+1:]...)
 	n.notifyResidency()
 }
 
@@ -384,7 +386,7 @@ func (n *Node) Crash(now time.Duration) ([]*job.Job, error) {
 	n.jobs = nil
 	n.covered = nil
 	n.demand = nil
-	n.flatUntil = nil
+	n.cursor = nil
 	n.ioActive = 0
 	n.reserved = false
 	n.down = true
@@ -656,7 +658,6 @@ type Snapshot struct {
 	reservedJobs map[int]bool
 	covered      []time.Duration
 	demand       []float64
-	flatUntil    []time.Duration
 	ioActive     int
 	lastPressure bool
 	incoming     map[int]float64
@@ -676,7 +677,6 @@ func (n *Node) Snapshot() Snapshot {
 		removed:      n.removed,
 		covered:      append([]time.Duration(nil), n.covered...),
 		demand:       append([]float64(nil), n.demand...),
-		flatUntil:    append([]time.Duration(nil), n.flatUntil...),
 		ioActive:     n.ioActive,
 		lastPressure: n.lastPressured,
 		faults:       n.faults,
@@ -704,10 +704,20 @@ func (n *Node) Snapshot() Snapshot {
 // the nodes.
 func (n *Node) Restore(s Snapshot) {
 	n.mem.Restore(s.mem)
+	// A cursor whose job stays at its index still describes that job's
+	// profile; the rewound service rebuilds it if it left the cursor.
+	cursor := n.cursor[:0]
+	for i, j := range s.jobs {
+		var c job.Segment
+		if i < len(n.jobs) && n.jobs[i] == j {
+			c = n.cursor[i]
+		}
+		cursor = append(cursor, c)
+	}
+	n.cursor = cursor
 	n.jobs = append(n.jobs[:0], s.jobs...)
 	n.covered = append(n.covered[:0], s.covered...)
 	n.demand = append(n.demand[:0], s.demand...)
-	n.flatUntil = append(n.flatUntil[:0], s.flatUntil...)
 	n.reserved = s.reserved
 	n.down = s.down
 	n.draining = s.draining
@@ -776,18 +786,19 @@ func (n *Node) Tick(dt time.Duration, now time.Duration) ([]*job.Job, error) {
 			}
 			continue
 		}
-		// Demand evolves with progress; refresh the memory manager only
-		// when the job has run past the flat-phase horizon within which
-		// its demand provably cannot move.
-		if j.CPUDone() > n.flatUntil[i] {
-			d, horizon := j.DemandHorizon()
-			if d != n.demand[i] {
-				if err := n.mem.Update(j.ID, d); err != nil {
-					return nil, err
-				}
-				n.demand[i] = d
+		// Demand evolves with progress; a flat cursor that still covers
+		// the job's service proves it has not moved.
+		cur, svc := &n.cursor[i], j.CPUDone()
+		if !cur.Covers(svc) {
+			*cur = j.SegmentAt(svc)
+		} else if cur.Flat() {
+			continue
+		}
+		if d := cur.DemandAt(svc); d != n.demand[i] {
+			if err := n.mem.Update(j.ID, d); err != nil {
+				return nil, err
 			}
-			n.flatUntil[i] = horizon
+			n.demand[i] = d
 		}
 	}
 	if len(done) > 0 {
@@ -802,7 +813,7 @@ func (n *Node) Tick(dt time.Duration, now time.Duration) ([]*job.Job, error) {
 			n.jobs[k] = j
 			n.covered[k] = n.covered[i]
 			n.demand[k] = n.demand[i]
-			n.flatUntil[k] = n.flatUntil[i]
+			n.cursor[k] = n.cursor[i]
 			k++
 		}
 		for i := k; i < len(n.jobs); i++ {
@@ -811,7 +822,7 @@ func (n *Node) Tick(dt time.Duration, now time.Duration) ([]*job.Job, error) {
 		n.jobs = n.jobs[:k]
 		n.covered = n.covered[:k]
 		n.demand = n.demand[:k]
-		n.flatUntil = n.flatUntil[:k]
+		n.cursor = n.cursor[:k]
 		n.notifyResidency()
 	}
 	// Demand refreshes and completions above may have moved pressure in
@@ -948,14 +959,14 @@ func (n *Node) CompletionFloor(dt time.Duration, kMax int64) int64 {
 
 // foldJob is one resident job's running state inside Fold: the charge
 // every tick currently makes, the CPU service the job had when that charge
-// took effect, its demand and flat-phase horizon, and the stretch's sums
-// up to then.
+// took effect, its demand, its phase cursor (the node's own, stepped in
+// place) and the stretch's sums up to then.
 type foldJob struct {
 	j      *job.Job
 	charge charge
 	done   time.Duration
 	demand float64
-	flat   time.Duration
+	cursor *job.Segment
 	sum    charge
 	// resid is the job's residency in the coming quantum: all of it but
 	// on the stretch's first, where Tick's resid rule applies and a job
@@ -983,16 +994,17 @@ func (f *foldJob) recharge(q *quantum, seg int64) {
 // Fold replays Tick's per-tick, per-job order on a memory.Replay cursor:
 // each tick reads its stall and cache miss from the cursor's total, each
 // job accrues faults against the total as the earlier jobs of that tick
-// left it, and a job that crosses its flat-phase horizon steps the cursor.
-// While the stall and cache miss stand still every tick charges each job
-// the same amounts, so the integer sums are multiplies; and while no job
-// can cross its horizon the total stands still too, so whole runs of ticks
-// fold at once, replaying only the page-fault float sum add by add (it is
-// order-dependent), and only while pressured. A flat phase is one long
-// run, a ramp a chain of single ticks, and a pressure crossing in either
-// direction just another total for the next tick to read. The pressure
-// watcher sees one notification for the whole stretch: it only records
-// the latest state.
+// left it, and a job whose demand moves steps the cursor. While the stall
+// and cache miss stand still every tick charges each job the same amounts,
+// so the integer sums are multiplies; and while every job sits inside a
+// flat phase cursor the total stands still too, so whole runs of ticks
+// fold at once, up to the first cursor's end, replaying only the
+// page-fault float sum add by add (it is order-dependent), and only while
+// pressured. A flat phase is one long run, a ramp a chain of single ticks
+// that step their demand on the job's cursor, and a pressure crossing in
+// either direction just another total for the next tick to read. The
+// pressure watcher sees one notification for the whole stretch: it only
+// records the latest state.
 func (n *Node) Fold(dt, now time.Duration, k int64) error {
 	if dt <= 0 {
 		return fmt.Errorf("node %d: nonpositive quantum %v", n.cfg.ID, dt)
@@ -1001,8 +1013,8 @@ func (n *Node) Fold(dt, now time.Duration, k int64) error {
 		return nil
 	}
 	// Only the first tick can credit partial residency: it leaves every
-	// job covered up to now. steady reports that no job sits past its
-	// flat-phase horizon, so a run can fold.
+	// job covered up to now. steady reports that every job sits inside a
+	// flat cursor, so a run can fold.
 	if cap(n.fold) < len(n.jobs) {
 		n.fold = make([]foldJob, len(n.jobs))
 	}
@@ -1010,12 +1022,12 @@ func (n *Node) Fold(dt, now time.Duration, k int64) error {
 	first, steady := false, true
 	for i, j := range n.jobs {
 		f := &fold[i]
-		f.j, f.done, f.demand, f.flat, f.resid = j, j.CPUDone(), n.demand[i], n.flatUntil[i], dt
+		f.j, f.done, f.demand, f.cursor, f.resid = j, j.CPUDone(), n.demand[i], &n.cursor[i], dt
 		f.charge, f.sum = charge{}, charge{}
 		if from := n.covered[i]; from > now-dt {
 			f.resid, first = now-from, true
 		}
-		steady = steady && f.done <= f.flat
+		steady = steady && f.cursor.Flat() && f.cursor.Covers(f.done)
 	}
 	rep := n.mem.Replay()
 	q := n.newQuantum(dt, rep.Stall(), 1-n.cacheAvailabilityAt(rep.Total()))
@@ -1031,14 +1043,14 @@ func (n *Node) Fold(dt, now time.Duration, k int64) error {
 			seg, stale = 0, false
 		}
 		if steady && !first {
-			// Fold the run of ticks before the next horizon crossing.
+			// Fold the run of ticks before the first job leaves its cursor.
 			run := k - t
 			for i := range fold {
-				// A job in its final flat phase cannot cross before it
+				// A job in its final flat phase cannot leave it before it
 				// completes, which the stretch rules out.
 				f := &fold[i]
-				if cpu := f.charge.cpu; cpu > 0 && f.flat < f.j.CPUDemand {
-					run = min(run, int64((f.flat-f.done)/cpu)-seg)
+				if cpu := f.charge.cpu; cpu > 0 && f.cursor.Until < f.j.CPUDemand {
+					run = min(run, int64((f.cursor.Until-f.done)/cpu)-seg)
 				}
 			}
 			if run > 0 {
@@ -1090,7 +1102,6 @@ func (n *Node) Fold(dt, now time.Duration, k int64) error {
 		}
 		n.covered[i] = last
 		n.demand[i] = f.demand
-		n.flatUntil[i] = f.flat
 		n.cpuDelivered += f.sum.cpu
 		n.ioStall += f.sum.io
 	}
@@ -1111,13 +1122,13 @@ func (n *Node) Fold(dt, now time.Duration, k int64) error {
 // foldTicks replays up to limit ticks at the current charges, the first
 // being tick seg+1 of them, each in Tick's per-job order: progress, fault
 // accrual against the total as the earlier jobs left it, then the demand
-// refresh past the flat-phase horizon. On the stretch's first tick it
-// skips the jobs resident for none of it, as Tick does. It stops after a
-// tick that leaves every job inside its flat phase, so a run can fold, or
-// that moves the total the charges depend on: any move unless fixed, else
-// one into pressure. It reports the ticks made, the fault count after
-// them, whether the last left every job inside its flat phase, and whether
-// any demand moved.
+// refresh on the job's phase cursor, rebuilt once service leaves it. On
+// the stretch's first tick it skips the jobs resident for none of it, as
+// Tick does. It stops after a tick that leaves every job inside a flat
+// cursor, so a run can fold, or that moves the total the charges depend
+// on: any move unless fixed, else one into pressure. It reports the ticks
+// made, the fault count after them, whether the last left every job inside
+// a flat cursor, and whether any demand moved.
 func foldTicks(fold []foldJob, rep *memory.Replay, faults float64, seg, limit int64, first, fixed bool) (ticks int64, faultsAfter float64, steady, moved bool) {
 	for ticks < limit {
 		ticks++
@@ -1127,23 +1138,23 @@ func foldTicks(fold []foldJob, rep *memory.Replay, faults float64, seg, limit in
 			f := &fold[i]
 			done := f.done + f.charge.cpu*time.Duration(seg+ticks)
 			if first && f.resid <= 0 {
-				steady = steady && done <= f.flat
+				steady = steady && f.cursor.Flat() && f.cursor.Covers(done)
 				continue
 			}
 			if rep.Pressured() { // the fault rate is nonzero exactly under pressure
 				faults += float64(f.charge.cpu) / float64(time.Second) * rep.FaultRate()
 			}
-			// A job that does not cross stays inside its flat phase.
-			if done > f.flat {
-				d, horizon := f.j.DemandHorizonAt(done)
-				if d != f.demand {
-					rep.Step(f.demand, d)
-					f.demand = d
-					moved = true
-				}
-				f.flat = horizon
-				steady = steady && done <= horizon
+			if !f.cursor.Covers(done) {
+				*f.cursor = f.j.SegmentAt(done)
+			} else if f.cursor.Flat() {
+				continue
 			}
+			if d := f.cursor.DemandAt(done); d != f.demand {
+				rep.Step(f.demand, d)
+				f.demand = d
+				moved = true
+			}
+			steady = steady && f.cursor.Flat()
 		}
 		if steady || rep.Total() != total && (!fixed || rep.Pressured()) {
 			break
