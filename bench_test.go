@@ -15,6 +15,7 @@ import (
 	"vrcluster/internal/cluster"
 	"vrcluster/internal/core"
 	"vrcluster/internal/experiments"
+	"vrcluster/internal/faults"
 	"vrcluster/internal/memory"
 	"vrcluster/internal/metrics"
 	"vrcluster/internal/node"
@@ -484,6 +485,7 @@ var steadyCases = []steadyCase{
 	{name: "metrics", warmup: 5 * time.Minute, setup: steadyMetrics},
 	{name: "blocked", warmup: 10 * time.Minute, blocked: true, setup: steadyBlocked},
 	{name: "audit", warmup: 5 * time.Minute, setup: steadyAudit},
+	{name: "drops", warmup: 5 * time.Minute, setup: steadyDrops},
 }
 
 // steadyPlain runs the shared 60-job trace on Cluster1 at 10 ms.
@@ -531,6 +533,17 @@ func steadyBlocked(tb testing.TB) (cluster.Config, *trace.Trace) {
 func steadyAudit(tb testing.TB) (cluster.Config, *trace.Trace) {
 	cfg, tr := steadyPlain(tb)
 	cfg.Audit = true
+	return cfg, tr
+}
+
+// steadyDrops is the operator configuration's per-period bookkeeping: the
+// metrics window's telemetry fan-out (per-node samples in one batch), the
+// auditor (job stamps) and a fault plan dropping 5% of load-information
+// exchanges (drop draws in runs, discarded and redrawn across Restore).
+func steadyDrops(tb testing.TB) (cluster.Config, *trace.Trace) {
+	cfg, tr := steadyMetrics(tb)
+	cfg.Audit = true
+	cfg.Faults = faults.Plan{DropRate: 0.05, Domains: 8}
 	return cfg, tr
 }
 
@@ -610,3 +623,8 @@ func BenchmarkClusterRunSteadyBlocked(b *testing.B) { benchSteady(b, "blocked") 
 // BenchmarkClusterRunSteadyAudit measures the window with the invariant
 // auditor on.
 func BenchmarkClusterRunSteadyAudit(b *testing.B) { benchSteady(b, "audit") }
+
+// BenchmarkClusterRunSteadyDrops measures the window with telemetry, the
+// auditor and refresh drops on: the operator configuration's per-period
+// bookkeeping.
+func BenchmarkClusterRunSteadyDrops(b *testing.B) { benchSteady(b, "drops") }

@@ -285,9 +285,9 @@ func run(args []string) (err error) {
 
 // validateFaultFlags rejects fault-flag combinations that would silently do
 // nothing or configure a nonsensical plan: any fault-family flag without
-// -faults, non-positive -mtbf, negative -mttr, rates outside [0, 1], and
-// domain timing without -domains. set holds the flags explicitly passed on
-// the command line.
+// -faults, non-positive -mtbf, negative -mttr, rates outside [0, 1] (NaN
+// included), and domain timing without -domains. set holds the flags
+// explicitly passed on the command line.
 func validateFaultFlags(set map[string]bool, faultsOn bool, mtbf, mttr time.Duration, dropRate, abortRate float64, domains int) error {
 	faultFamily := []string{"mtbf", "mttr", "crash", "droprate", "abortrate", "faultseed",
 		"domains", "domainmtbf", "domainmttr", "partmtbf", "partmttr"}
@@ -305,10 +305,11 @@ func validateFaultFlags(set map[string]bool, faultsOn bool, mtbf, mttr time.Dura
 	if mttr < 0 {
 		return fmt.Errorf("-mttr %v must not be negative", mttr)
 	}
-	if dropRate < 0 || dropRate > 1 {
+	// Negated so NaN, which compares false to everything, is rejected too.
+	if !(dropRate >= 0 && dropRate <= 1) {
 		return fmt.Errorf("-droprate %v outside [0, 1]", dropRate)
 	}
-	if abortRate < 0 || abortRate > 1 {
+	if !(abortRate >= 0 && abortRate <= 1) {
 		return fmt.Errorf("-abortrate %v outside [0, 1]", abortRate)
 	}
 	if domains < 0 {

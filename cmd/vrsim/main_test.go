@@ -99,6 +99,9 @@ func TestValidateFaultFlagCombos(t *testing.T) {
 		{"-faults", "-mttr", "-1s"},                       // negative MTTR
 		{"-faults", "-abortrate", "-0.1"},                 // rate below 0
 		{"-faults", "-abortrate", "1.01"},                 // rate above 1
+		{"-faults", "-abortrate", "NaN"},                  // NaN aborts every migration
+		{"-faults", "-droprate", "NaN"},                   // NaN rate
+		{"-faults", "-droprate", "+Inf"},                  // infinite rate
 		{"-faults", "-domains", "-1"},                     // negative domain count
 		{"-faults", "-domainmtbf", "10m"},                 // domain timing without -domains
 		{"-faults", "-partmtbf", "10m"},                   // partition timing without -domains

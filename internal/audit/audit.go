@@ -87,9 +87,19 @@ type Auditor struct {
 	violations  []Violation
 	onViolation func(Violation)
 
-	// seen maps a job ID to where Check first found it. It is reused
-	// across checks and cleared at the start of each.
-	seen map[int]location
+	// seen records, per job ID (job IDs are trace item indices, so the
+	// slice stays as long as the trace), where the check stamped epoch
+	// found the job. Each Check takes a fresh epoch instead of clearing
+	// the slice; Rewind never rolls the epoch back, so a stamp left by an
+	// abandoned fork's check can never pass for one of the current check.
+	seen  []stamp
+	epoch uint32
+}
+
+// stamp is one seen entry: the job was found at loc during check epoch.
+type stamp struct {
+	epoch uint32
+	loc   location
 }
 
 // Kinds of place a job can be found in.
@@ -104,7 +114,7 @@ const (
 // residents. It is formatted only when a violation is reported.
 type location struct {
 	kind uint8
-	node int
+	node int32
 }
 
 func (l location) String() string {
@@ -127,7 +137,7 @@ func (l location) String() string {
 func (a *Auditor) SetOnViolation(fn func(Violation)) { a.onViolation = fn }
 
 // New builds an auditor.
-func New() *Auditor { return &Auditor{seen: make(map[int]location)} }
+func New() *Auditor { return &Auditor{} }
 
 // Checks reports how many snapshots have been audited.
 func (a *Auditor) Checks() int { return a.checks }
@@ -168,11 +178,16 @@ func (a *Auditor) Check(s Snapshot) error {
 	a.checks++
 
 	// Job conservation and duplicate detection.
-	clear(a.seen)
+	a.epoch++
+	if a.epoch == 0 {
+		// The epoch wrapped: stale stamps could now match, so wipe them.
+		clear(a.seen)
+		a.epoch = 1
+	}
 	resident := 0
 	for _, n := range s.Nodes {
 		for _, id := range n.Resident {
-			if err := a.place(s.Now, id, location{inResident, n.ID}); err != nil {
+			if err := a.place(s.Now, id, location{inResident, int32(n.ID)}); err != nil {
 				return err
 			}
 			resident++
@@ -238,10 +253,17 @@ func (a *Auditor) Check(s Snapshot) error {
 // place records that job id was found at loc, failing if it was already
 // found somewhere else in this check.
 func (a *Auditor) place(now time.Duration, id int, loc location) error {
-	if prev, ok := a.seen[id]; ok {
-		return a.fail(now, "job uniqueness", "job %d in %s and %s", id, prev, loc)
+	if id < 0 {
+		return a.fail(now, "job identity", "job %d in %s has a negative ID", id, loc)
 	}
-	a.seen[id] = loc
+	if id >= len(a.seen) {
+		a.seen = append(a.seen, make([]stamp, id+1-len(a.seen))...)
+	}
+	st := &a.seen[id]
+	if st.epoch == a.epoch {
+		return a.fail(now, "job uniqueness", "job %d in %s and %s", id, st.loc, loc)
+	}
+	*st = stamp{epoch: a.epoch, loc: loc}
 	return nil
 }
 

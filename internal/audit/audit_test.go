@@ -58,6 +58,10 @@ func TestCheckFlagsEachInvariant(t *testing.T) {
 			"job 11 in stranded pool and migration wire", func(s *Snapshot) {
 				s.Stranded = append(s.Stranded, 11)
 			}},
+		{"negative job ID", "job identity",
+			"job -3 in pending queue has a negative ID", func(s *Snapshot) {
+				s.Pending = append(s.Pending, -3)
+			}},
 		{"removed node holds job", "removed-node emptiness", "", func(s *Snapshot) {
 			s.Nodes[0].Removed = true
 		}},
@@ -134,6 +138,60 @@ func TestCheckReusesSeenSet(t *testing.T) {
 	}
 	if a.Checks() != 3 || len(a.Violations()) != 1 {
 		t.Errorf("checks %d violations %d, want 3 and 1", a.Checks(), len(a.Violations()))
+	}
+}
+
+// TestCheckStampsSurviveRewind covers the fork pattern: checks run past a
+// snapshot point, the auditor is rewound, and the next continuation takes
+// other paths. A job stamped only by the abandoned checks must not read as
+// seen when it turns up again at the same check count, while a real
+// duplicate is still caught.
+func TestCheckStampsSurviveRewind(t *testing.T) {
+	a := New()
+	if err := a.Check(clean()); err != nil {
+		t.Fatal(err)
+	}
+	abandoned := clean()
+	abandoned.Pending = append(abandoned.Pending, 13)
+	abandoned.Arrived++
+	for i := 0; i < 3; i++ { // checks 2-4, then rewound away
+		if err := a.Check(abandoned); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.Rewind(1, 0)
+	for i := 0; i < 2; i++ { // checks 2-3 without job 13
+		if err := a.Check(clean()); err != nil {
+			t.Fatalf("check %d after rewind: %v", i+2, err)
+		}
+	}
+	// Check 4 again, with job 13 back where the abandoned check 4 saw it.
+	if err := a.Check(abandoned); err != nil {
+		t.Fatalf("check 4 after rewind: false violation %v", err)
+	}
+	dup := abandoned
+	dup.Stranded = []int{13}
+	dup.Arrived++
+	err := a.Check(dup)
+	if v, ok := err.(Violation); !ok || v.Invariant != "job uniqueness" {
+		t.Fatalf("duplicate after rewind: got %v, want a job uniqueness violation", err)
+	}
+	if a.Checks() != 5 || len(a.Violations()) != 1 {
+		t.Errorf("checks %d violations %d, want 5 and 1", a.Checks(), len(a.Violations()))
+	}
+}
+
+// TestCheckGrowsForLargeJobIDs checks job IDs far past any seen so far.
+func TestCheckGrowsForLargeJobIDs(t *testing.T) {
+	a := New()
+	s := clean()
+	s.Pending = []int{100000}
+	if err := a.Check(s); err != nil {
+		t.Fatal(err)
+	}
+	s.Wire = []int{100000}
+	if err := a.Check(s); err == nil {
+		t.Fatal("duplicated large job ID passed the audit")
 	}
 }
 

@@ -284,6 +284,10 @@ type Cluster struct {
 	injector *faults.Injector // non-nil while a fault plan is active
 	homes    map[int]int      // job ID -> home workstation (crash requeues)
 	obs      *obs.Tracer      // nil unless a sink is installed
+
+	// sampleBuf is the per-node sample batch sampleObs refills every
+	// sample tick and hands to the tracer in one EmitSamples call.
+	sampleBuf []obs.Event
 }
 
 // New assembles a cluster around a scheduling policy.
@@ -386,7 +390,10 @@ func (c *Cluster) sampleObs() {
 		return
 	}
 	now := c.engine.Now()
-	c.obs.Reserve(len(c.nodes))
+	if cap(c.sampleBuf) < len(c.nodes) {
+		c.sampleBuf = make([]obs.Event, 0, len(c.nodes))
+	}
+	samples := c.sampleBuf[:0]
 	live := 0
 	for _, n := range c.nodes {
 		if n.Removed() {
@@ -403,7 +410,7 @@ func (c *Cluster) sampleObs() {
 		if n.Draining() {
 			fl |= obs.FlagDrain
 		}
-		c.obs.Emit(obs.Event{
+		samples = append(samples, obs.Event{
 			At:    now,
 			Kind:  obs.KindNodeSample,
 			Flags: fl,
@@ -413,6 +420,8 @@ func (c *Cluster) sampleObs() {
 			Val:   n.IdleMB(),
 		})
 	}
+	c.sampleBuf = samples
+	c.obs.EmitSamples(samples)
 	if m := c.obs.Metrics(); m != nil {
 		pressured := 0
 		for _, w := range c.pressured {

@@ -288,7 +288,7 @@ func (c *Cluster) autoscaleTick(now time.Duration) error {
 		}
 		live++
 		last = n.ID()
-		slots += n.Config().CPUThreshold
+		slots += n.Slots()
 		busy += n.NumJobs()
 	}
 	if slots == 0 {
@@ -426,7 +426,7 @@ func (c *Cluster) auditSnapshot() audit.Snapshot {
 			Removed:  n.Removed(),
 			IdleMB:   n.IdleMB(),
 			UserMB:   n.Memory().UserMB(),
-			Slots:    n.Config().CPUThreshold,
+			Slots:    n.Slots(),
 		}
 	}
 	return *s

@@ -1,0 +1,219 @@
+package faults
+
+import (
+	"math/rand"
+	"testing"
+	"time"
+
+	"vrcluster/internal/sim"
+)
+
+// scriptSource yields a fixed list of Int63 values, so a test can place a
+// value that makes rand.(*Rand).Float64 redraw.
+type scriptSource struct {
+	vals []int64
+	n    int
+}
+
+func (s *scriptSource) Int63() int64 { v := s.vals[s.n]; s.n++; return v }
+func (s *scriptSource) Seed(int64)   {}
+
+// roundsToOne is an Int63 so close to 1<<63 that Float64's division rounds
+// it to 1.0, forcing a redraw.
+const roundsToOne = 1<<63 - 1
+
+func TestNextFloat64MatchesRandFloat64(t *testing.T) {
+	if float64(roundsToOne)/(1<<63) != 1 {
+		t.Fatal("roundsToOne no longer rounds to 1.0")
+	}
+	for _, vals := range [][]int64{
+		{42},
+		{1 << 62},
+		{roundsToOne, 7},
+		{roundsToOne, roundsToOne, 1 << 40},
+	} {
+		want := rand.New(&scriptSource{vals: vals}).Float64()
+		f, values := nextFloat64(&scriptSource{vals: vals})
+		if f != want || values != len(vals) {
+			t.Errorf("%v: got %v after %d values, want %v after %d", vals, f, values, want, len(vals))
+		}
+	}
+}
+
+// TestDrawRunEndsAtRedraw pins the rule the snapshot position rests on: a
+// Float64 that took more than one value ends its run, so every answer but
+// a run's last took exactly one value.
+func TestDrawRunEndsAtRedraw(t *testing.T) {
+	const keep, drop = 1 << 62, 0 // Float64 0.5 keeps at rate 0.1, 0 drops
+	cases := []struct {
+		name   string
+		vals   []int64
+		n      uint8
+		drop   bool
+		values int
+	}{
+		{"drop after keeps", []int64{keep, keep, drop, keep}, 3, true, 3},
+		{"redraw ends a keeping run", []int64{keep, roundsToOne, keep, keep}, 2, false, 3},
+		{"redraw then drop", []int64{roundsToOne, drop, keep}, 1, true, 2},
+	}
+	for _, tc := range cases {
+		src := &scriptSource{vals: tc.vals}
+		n, dropped := drawRun(src, 0.1)
+		if n != tc.n || dropped != tc.drop || src.n != tc.values {
+			t.Errorf("%s: run of %d (drop %v) took %d values, want %d (drop %v) from %d",
+				tc.name, n, dropped, src.n, tc.n, tc.drop, tc.values)
+		}
+	}
+	// A rate no Float64 falls below stops at the cap.
+	vals := make([]int64, 2*maxDropRun)
+	for i := range vals {
+		vals[i] = keep
+	}
+	src := &scriptSource{vals: vals}
+	if n, dropped := drawRun(src, 1e-300); n != maxDropRun || dropped || src.n != maxDropRun {
+		t.Errorf("capped run: %d (drop %v) after %d values, want %d", n, dropped, src.n, maxDropRun)
+	}
+}
+
+// TestDropRunPosition checks the position Snapshot records: inside a run
+// it counts one value per answered period from the run's start, and once
+// the run is used up it is the stream's own count, which covers a final
+// Float64 that took a redraw.
+func TestDropRunPosition(t *testing.T) {
+	src := sim.NewCountingSource(1)
+	for i := 0; i < 9; i++ {
+		src.Int63()
+	}
+	r := dropRun{from: 3, n: 5, left: 2}
+	if got := r.position(src); got != 6 {
+		t.Errorf("mid-run position %d, want 6", got)
+	}
+	r.left = 0
+	if got := r.position(src); got != 9 {
+		t.Errorf("finished-run position %d, want the stream's 9", got)
+	}
+}
+
+// dropRef is the reference the fuzzer checks DropRefresh against: one
+// Float64 per node per answered period, straight from rand.Rand.
+type dropRef struct {
+	rng     []*rand.Rand
+	src     []*sim.CountingSource
+	retired []bool
+	seed    int64
+}
+
+func (r *dropRef) addNode() {
+	rng, src := stream(r.seed, 1, len(r.rng))
+	r.rng = append(r.rng, rng)
+	r.src = append(r.src, src)
+	r.retired = append(r.retired, false)
+}
+
+// drop answers one period for id the way DropRefresh always has; the
+// partition state comes from the injector's per-domain flags.
+func (r *dropRef) drop(in *Injector, id int, rate float64) bool {
+	if id >= 0 && id < len(r.retired) && r.retired[id] {
+		return false
+	}
+	if id >= 0 && in.partitioned[id%in.plan.Domains] {
+		return true
+	}
+	if rate <= 0 || id < 0 || id >= len(r.rng) {
+		return false
+	}
+	return r.rng[id].Float64() < rate
+}
+
+// dropSaved is a snapshot of both sides.
+type dropSaved struct {
+	engine  *sim.EngineSnapshot
+	in      *Snapshot
+	draws   []uint64
+	retired []bool
+}
+
+// FuzzDropRefresh drives the injector and the reference through a fuzzed
+// script of control periods, clock advances (which open and heal
+// partitions on the injector's own timers), retirements, joins, and
+// snapshot/restore, and requires the same answer for every node in every
+// period and, after each period, snapshot positions equal to the
+// reference's draw counts.
+func FuzzDropRefresh(f *testing.F) {
+	f.Add(1.0, int64(1), []byte{0, 0, 2, 0, 5, 0, 3, 0, 11, 0, 4, 0, 0})
+	f.Add(1e-300, int64(2), []byte{0, 0, 0, 5, 0, 0, 11, 0, 4, 0, 2, 2, 0})
+	f.Add(0.05, int64(3), []byte{0, 0, 0, 0, 5, 0, 0, 0, 2, 0, 9, 0, 0, 11, 0, 0, 4, 0, 5, 0, 8, 0, 17, 0, 0})
+	// Snapshot inside a partition, run past its heal, restore, and ask:
+	// the restore must bring the partitioned-domain count back too.
+	f.Add(1.0/6, int64(88), []byte("bzA8#0"))
+	f.Fuzz(func(t *testing.T, rate float64, seed int64, script []byte) {
+		if !(rate >= 0 && rate <= 1) {
+			t.Skip("Plan.Validate rejects the rate")
+		}
+		if len(script) > 1024 {
+			script = script[:1024]
+		}
+		const nodes = 5
+		e := sim.NewEngine(1)
+		in, err := NewInjector(e, Plan{Seed: seed, DropRate: rate, Domains: 3,
+			PartitionMTBF: 20 * time.Second, PartitionMTTR: 5 * time.Second}, nodes, Hooks{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.Start()
+		ref := &dropRef{seed: in.plan.Seed}
+		for i := 0; i < nodes; i++ {
+			ref.addNode()
+		}
+		var saved *dropSaved
+		for step, op := range script {
+			arg := int(op / 6)
+			switch op % 6 {
+			case 0, 1: // one control period, out-of-range IDs included
+				for id := -1; id <= len(ref.rng); id++ {
+					want := ref.drop(in, id, rate)
+					if got := in.DropRefresh(id); got != want {
+						t.Fatalf("step %d node %d: DropRefresh %v, want %v", step, id, got, want)
+					}
+				}
+				s := in.Snapshot()
+				for id, src := range ref.src {
+					if s.dropDraws[id] != src.Draws() {
+						t.Fatalf("step %d node %d: snapshot position %d, want %d",
+							step, id, s.dropDraws[id], src.Draws())
+					}
+				}
+			case 2:
+				e.RunUntil(e.Now() + time.Duration(arg+1)*time.Second)
+			case 3:
+				id := arg % len(ref.retired)
+				in.RetireNode(id)
+				ref.retired[id] = true
+			case 4:
+				if len(ref.rng) < 4*nodes {
+					if err := in.AddNode(len(ref.rng)); err != nil {
+						t.Fatal(err)
+					}
+					ref.addNode()
+				}
+			case 5:
+				if arg%2 == 0 || saved == nil {
+					saved = &dropSaved{engine: e.Snapshot(), in: in.Snapshot(),
+						retired: append([]bool(nil), ref.retired...)}
+					for _, src := range ref.src {
+						saved.draws = append(saved.draws, src.Draws())
+					}
+					continue
+				}
+				e.Restore(saved.engine)
+				in.Restore(saved.in)
+				n := len(saved.draws)
+				ref.rng, ref.src = ref.rng[:n], ref.src[:n]
+				ref.retired = append(ref.retired[:0], saved.retired...)
+				for id, d := range saved.draws {
+					ref.src[id].Restore(d)
+				}
+			}
+		}
+	})
+}

@@ -147,10 +147,12 @@ func (p *Plan) Validate() error {
 	if p.Crash != Kill && p.Crash != Requeue {
 		return fmt.Errorf("faults: unknown crash policy %d", int(p.Crash))
 	}
-	if p.DropRate < 0 || p.DropRate > 1 {
+	// The negated range tests also reject NaN, which compares false to
+	// everything: a NaN abort rate would abort every migration attempt.
+	if !(p.DropRate >= 0 && p.DropRate <= 1) {
 		return fmt.Errorf("faults: drop rate %v outside [0, 1]", p.DropRate)
 	}
-	if p.AbortRate < 0 || p.AbortRate > 1 {
+	if !(p.AbortRate >= 0 && p.AbortRate <= 1) {
 		return fmt.Errorf("faults: abort rate %v outside [0, 1]", p.AbortRate)
 	}
 	if p.MaxRetries == 0 {
@@ -251,7 +253,6 @@ type Injector struct {
 	hooks  Hooks
 
 	crashRNG []*rand.Rand // per-node crash/repair timing
-	dropRNG  []*rand.Rand // per-node exchange-drop draws
 	migRNG   *rand.Rand   // migration-abort draws, in transfer-start order
 
 	domainRNG []*rand.Rand // per-domain crash-wave timing
@@ -261,14 +262,19 @@ type Injector struct {
 	// snapshot can record each stream's position and a restore can rewind
 	// it (see snapshot.go).
 	crashSrc  []*sim.CountingSource
-	dropSrc   []*sim.CountingSource
+	dropSrc   []*sim.CountingSource // per-node exchange-drop draws, read in runs
 	migSrc    *sim.CountingSource
 	domainSrc []*sim.CountingSource
 	partSrc   []*sim.CountingSource
 
+	// runs holds each node's drop decisions drawn ahead of the periods
+	// that consume them (see DropRefresh).
+	runs []dropRun
+
 	downBy      []downOwner // per-node crash ownership
 	retired     []bool      // per-node retirement (removed from membership)
 	partitioned []bool      // per-domain partition state
+	partitions  int         // domains currently partitioned
 
 	started bool
 
@@ -313,16 +319,16 @@ func NewInjector(engine *sim.Engine, plan Plan, nodes int, hooks Hooks) (*Inject
 		plan:     plan,
 		hooks:    hooks,
 		crashRNG: make([]*rand.Rand, nodes),
-		dropRNG:  make([]*rand.Rand, nodes),
 		crashSrc: make([]*sim.CountingSource, nodes),
 		dropSrc:  make([]*sim.CountingSource, nodes),
+		runs:     make([]dropRun, nodes),
 		downBy:   make([]downOwner, nodes),
 		retired:  make([]bool, nodes),
 	}
 	in.migRNG, in.migSrc = stream(plan.Seed, 2, 0)
 	for i := 0; i < nodes; i++ {
 		in.crashRNG[i], in.crashSrc[i] = stream(plan.Seed, 0, i)
-		in.dropRNG[i], in.dropSrc[i] = stream(plan.Seed, 1, i)
+		_, in.dropSrc[i] = stream(plan.Seed, 1, i)
 	}
 	if plan.Domains > 0 {
 		in.domainRNG = make([]*rand.Rand, plan.Domains)
@@ -349,11 +355,11 @@ func (in *Injector) AddNode(id int) error {
 		return fmt.Errorf("faults: node %d joined out of order (have %d)", id, len(in.crashRNG))
 	}
 	crashRNG, crashSrc := stream(in.plan.Seed, 0, id)
-	dropRNG, dropSrc := stream(in.plan.Seed, 1, id)
+	_, dropSrc := stream(in.plan.Seed, 1, id)
 	in.crashRNG = append(in.crashRNG, crashRNG)
-	in.dropRNG = append(in.dropRNG, dropRNG)
 	in.crashSrc = append(in.crashSrc, crashSrc)
 	in.dropSrc = append(in.dropSrc, dropSrc)
+	in.runs = append(in.runs, dropRun{})
 	in.downBy = append(in.downBy, ownerNone)
 	in.retired = append(in.retired, false)
 	if in.started && in.plan.MTBF > 0 {
@@ -373,7 +379,7 @@ func (in *Injector) Domain(nodeID int) int {
 // Partitioned reports whether nodeID's failure domain is currently
 // network-partitioned from the rest of the cluster.
 func (in *Injector) Partitioned(nodeID int) bool {
-	if in.plan.Domains <= 0 || nodeID < 0 {
+	if in.partitions == 0 || nodeID < 0 {
 		return false
 	}
 	return in.partitioned[nodeID%in.plan.Domains]
@@ -535,7 +541,7 @@ func (in *Injector) armPartition(d int) {
 	wait := time.Duration(in.partRNG[d].ExpFloat64() * float64(in.plan.PartitionMTBF))
 	in.engine.After(wait, func() {
 		members := in.members(d)
-		in.partitioned[d] = true
+		in.setPartitioned(d, true)
 		if in.tr != nil {
 			in.tr.Emit(obs.Event{At: in.engine.Now(), Kind: obs.KindDomainOutage,
 				Flags: obs.FlagPartition, Node: -1, Job: -1,
@@ -546,7 +552,7 @@ func (in *Injector) armPartition(d int) {
 		}
 		heal := time.Duration(in.partRNG[d].ExpFloat64() * float64(in.plan.PartitionMTTR))
 		in.engine.After(heal, func() {
-			in.partitioned[d] = false
+			in.setPartitioned(d, false)
 			if in.tr != nil {
 				in.tr.Emit(obs.Event{At: in.engine.Now(), Kind: obs.KindDomainRestore,
 					Flags: obs.FlagPartition, Node: -1, Job: -1,
@@ -560,11 +566,32 @@ func (in *Injector) armPartition(d int) {
 	})
 }
 
+// setPartitioned flips domain d's partition state, keeping the count of
+// partitioned domains that lets Partitioned skip the domain lookup while
+// none is.
+func (in *Injector) setPartitioned(d int, on bool) {
+	if in.partitioned[d] == on {
+		return
+	}
+	in.partitioned[d] = on
+	if on {
+		in.partitions++
+	} else {
+		in.partitions--
+	}
+}
+
 // DropRefresh reports whether this control period's load-information
 // exchange from nodeID is lost. A partitioned domain loses every exchange
 // outright (no draw consumed — the wire is gone, not lossy); otherwise
-// each node consumes one draw from its private stream per period, keeping
-// the schedule independent of how other nodes fare.
+// each node consumes one Float64 from its private stream per period and
+// drops when it falls below DropRate, keeping the schedule independent of
+// how other nodes fare.
+//
+// The draws are taken in runs rather than one per call: drawRun reads a
+// node's stream ahead up to its next drop, and the periods after answer
+// from the run's counter. The answers, and the stream positions Snapshot
+// records, are the same as drawing once per call.
 func (in *Injector) DropRefresh(nodeID int) bool {
 	if nodeID >= 0 && nodeID < len(in.retired) && in.retired[nodeID] {
 		return false
@@ -572,10 +599,73 @@ func (in *Injector) DropRefresh(nodeID int) bool {
 	if in.Partitioned(nodeID) {
 		return true
 	}
-	if in.plan.DropRate <= 0 || nodeID < 0 || nodeID >= len(in.dropRNG) {
+	if in.plan.DropRate <= 0 || nodeID < 0 || nodeID >= len(in.runs) {
 		return false
 	}
-	return in.dropRNG[nodeID].Float64() < in.plan.DropRate
+	r := &in.runs[nodeID]
+	if r.left == 0 {
+		src := in.dropSrc[nodeID]
+		r.from = src.Draws()
+		r.n, r.drop = drawRun(src, in.plan.DropRate)
+		r.left = r.n
+	}
+	r.left--
+	return r.left == 0 && r.drop
+}
+
+// maxDropRun caps how many periods one run reads ahead, so a tiny drop
+// rate cannot spin the draw loop.
+const maxDropRun = 64
+
+// dropRun is one node's drop decisions drawn ahead: n periods, read from
+// the stream position from, of which the last is a drop when drop is set
+// and all others keep their exchange. left counts the periods not yet
+// answered; zero means the next call draws a new run.
+type dropRun struct {
+	from    uint64
+	n, left uint8
+	drop    bool
+}
+
+// position reports how many values the node's stream would have yielded
+// had each answered period drawn its own Float64. Within a run every
+// answer but the last took exactly one value (drawRun ends a run at any
+// redraw), so only a finished run needs the stream's own count.
+func (r *dropRun) position(src *sim.CountingSource) uint64 {
+	if r.left == 0 {
+		return src.Draws()
+	}
+	return r.from + uint64(r.n-r.left)
+}
+
+// drawRun draws the Float64s of one run: up to and including the first
+// below rate, at most maxDropRun of them, and ending early after any
+// Float64 that took more than one value from src. It reports the run's
+// length and whether its last period drops.
+func drawRun(src rand.Source, rate float64) (n uint8, drop bool) {
+	for n < maxDropRun {
+		n++
+		f, values := nextFloat64(src)
+		if f < rate {
+			return n, true
+		}
+		if values > 1 {
+			break
+		}
+	}
+	return n, false
+}
+
+// nextFloat64 returns the value rand.(*Rand).Float64 would return on src,
+// and how many values it took from src: normally one, more when an Int63
+// so close to 1<<63 that the division rounds to 1.0 forces a redraw.
+func nextFloat64(src rand.Source) (f float64, values int) {
+	for {
+		values++
+		if f = float64(src.Int63()) / (1 << 63); f != 1 {
+			return f, values
+		}
+	}
 }
 
 // AbortMigration decides one migration attempt's fate: whether it dies on

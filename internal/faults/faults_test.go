@@ -36,6 +36,10 @@ func TestPlanValidateRejects(t *testing.T) {
 		{DropRate: -0.1},
 		{DropRate: 1.1},
 		{AbortRate: 2},
+		{DropRate: math.NaN()},
+		{AbortRate: math.NaN()},
+		{DropRate: math.Inf(1)},
+		{AbortRate: math.Inf(-1)},
 		{MaxRetries: -1},
 		{RetryBackoff: -time.Second},
 	}

@@ -2,12 +2,13 @@ package faults
 
 // This file holds the injector's snapshot/restore support for cluster
 // forking. Every fault stream is backed by a counting source, so a
-// snapshot is just each stream's draw count plus the ownership, retirement
-// and partition state; a restore rewinds each stream to its recorded
-// position (reseed + fast-forward) and truncates the per-node slices so
-// workstations that joined after the snapshot vanish. The pending fault
-// timers themselves live in the engine's event queue and are restored by
-// the engine snapshot.
+// snapshot is just each stream's draw count (for a drop stream, the count
+// its consumer has reached, not the run drawn ahead of it) plus the
+// ownership, retirement and partition state; a restore rewinds each stream
+// to its recorded position (reseed + fast-forward) and truncates the
+// per-node slices so workstations that joined after the snapshot vanish.
+// The pending fault timers themselves live in the engine's event queue and
+// are restored by the engine snapshot.
 
 // Snapshot captures the injector's mutable state.
 type Snapshot struct {
@@ -38,7 +39,7 @@ func (in *Injector) Snapshot() *Snapshot {
 		s.crashDraws[i] = src.Draws()
 	}
 	for i, src := range in.dropSrc {
-		s.dropDraws[i] = src.Draws()
+		s.dropDraws[i] = in.runs[i].position(src)
 	}
 	if len(in.domainSrc) > 0 {
 		s.domainDraws = make([]uint64, len(in.domainSrc))
@@ -57,12 +58,13 @@ func (in *Injector) Snapshot() *Snapshot {
 func (in *Injector) Restore(s *Snapshot) {
 	n := len(s.crashDraws)
 	in.crashRNG = in.crashRNG[:n]
-	in.dropRNG = in.dropRNG[:n]
 	in.crashSrc = in.crashSrc[:n]
 	in.dropSrc = in.dropSrc[:n]
+	in.runs = in.runs[:n]
 	for i := 0; i < n; i++ {
 		in.crashSrc[i].Restore(s.crashDraws[i])
 		in.dropSrc[i].Restore(s.dropDraws[i])
+		in.runs[i] = dropRun{} // the next call redraws from the position
 	}
 	in.migSrc.Restore(s.migDraws)
 	for d := range s.domainDraws {
@@ -71,6 +73,8 @@ func (in *Injector) Restore(s *Snapshot) {
 	}
 	in.downBy = append(in.downBy[:0], s.downBy...)
 	in.retired = append(in.retired[:0], s.retired...)
-	in.partitioned = append(in.partitioned[:0], s.partitioned...)
+	for d, on := range s.partitioned {
+		in.setPartitioned(d, on)
+	}
 	in.started = s.started
 }

@@ -248,6 +248,10 @@ func (n *Node) ID() int { return n.cfg.ID }
 // Config returns the validated configuration.
 func (n *Node) Config() Config { return n.cfg }
 
+// Slots reports the job slot count (Config.CPUThreshold) without copying
+// the configuration.
+func (n *Node) Slots() int { return n.cfg.CPUThreshold }
+
 // SpeedFactor is CPU speed relative to the demand-reference machine.
 func (n *Node) SpeedFactor() float64 { return n.cfg.CPUSpeedMHz / n.cfg.RefSpeedMHz }
 

@@ -120,6 +120,20 @@ func (r *FlightRecorder) observe(ev Event) {
 	}
 }
 
+// observeSamples records a batch of node samples (Tracer.EmitSamples).
+// Screening the first event is enough: the batch shares one instant, and
+// samples change no screening state, so an episode SLO that does not fire
+// on the first sample cannot fire on the rest. The others are copied into
+// the ring in bulk.
+func (r *FlightRecorder) observeSamples(evs []Event) {
+	r.observe(evs[0])
+	rest := evs[1:]
+	if r.pos+len(rest) >= len(r.ring) {
+		r.wrapped = true
+	}
+	r.pos = overwrite(r.ring, r.pos, rest)
+}
+
 // Trigger dumps the ring to the sink with the given reason. The audit
 // hook and SLO checks call it on the simulation goroutine; tests may call
 // it directly. Past MaxDumps the trigger is counted but not dumped.

@@ -203,7 +203,7 @@ func (s *Series) observe(ev Event) {
 		s.reservationHold.Observe(ev.Val)
 		s.reservedNodes.Add(-1)
 	case KindNodeSample:
-		s.observeSample(ev)
+		s.foldSamples([]Event{ev})
 	}
 }
 
@@ -264,29 +264,64 @@ type partitionState struct {
 	idleBit []uint64 // idle MB summed, as float64 bits
 }
 
-// observeSample folds one KindNodeSample event into its partition.
-func (s *Series) observeSample(ev Event) {
-	if ev.Node < 0 {
-		return
+// observeSamples folds a batch of KindNodeSample events (Tracer.
+// EmitSamples) with one kind-counter add for the whole batch.
+func (s *Series) observeSamples(evs []Event) {
+	s.kinds[KindNodeSample].Add(uint64(len(evs)))
+	s.foldSamples(evs)
+}
+
+// foldSamples folds samples into their partitions' gauges, one publish per
+// run of consecutive samples that share a partition and an instant.
+func (s *Series) foldSamples(evs []Event) {
+	for i := 0; i < len(evs); {
+		first := evs[i]
+		if first.Node < 0 {
+			i++
+			continue
+		}
+		idx := int(first.Node) >> partitionShift
+		j := i + 1
+		for j < len(evs) && evs[j].Node >= 0 && int(evs[j].Node)>>partitionShift == idx && evs[j].At == first.At {
+			j++
+		}
+		s.publishRun(idx, int64(first.At), evs[i:j])
+		i = j
 	}
-	idx := int(ev.Node) >> partitionShift
+}
+
+// publishRun folds one partition's run of samples at virtual time now.
+// The run's idle memory is summed in emission order, starting from the
+// value its first sample finds, so the gauges are bit-equal to folding the
+// samples one at a time.
+func (s *Series) publishRun(idx int, now int64, run []Event) {
 	p := s.parts.Load()
 	if p == nil || idx >= len(p.at) {
 		p = s.growParts(idx)
 	}
-	now := int64(ev.At)
+	var jobs int64
+	for _, ev := range run {
+		jobs += int64(ev.Aux)
+	}
 	if atomic.LoadInt64(&p.at[idx]) != now {
-		// First sample of a new tick: reset this partition's sums.
+		// The run opens this partition's tick: its sums replace the old.
+		idle := run[0].Val
+		for _, ev := range run[1:] {
+			idle += ev.Val
+		}
 		atomic.StoreInt64(&p.at[idx], now)
-		atomic.StoreInt64(&p.jobs[idx], int64(ev.Aux))
-		atomic.StoreUint64(&p.idleBit[idx], math.Float64bits(ev.Val))
+		atomic.StoreInt64(&p.jobs[idx], jobs)
+		atomic.StoreUint64(&p.idleBit[idx], math.Float64bits(idle))
 		return
 	}
-	atomic.AddInt64(&p.jobs[idx], int64(ev.Aux))
+	atomic.AddInt64(&p.jobs[idx], jobs)
 	for {
 		o := atomic.LoadUint64(&p.idleBit[idx])
-		n := math.Float64bits(math.Float64frombits(o) + ev.Val)
-		if atomic.CompareAndSwapUint64(&p.idleBit[idx], o, n) {
+		idle := math.Float64frombits(o)
+		for _, ev := range run {
+			idle += ev.Val
+		}
+		if atomic.CompareAndSwapUint64(&p.idleBit[idx], o, math.Float64bits(idle)) {
 			return
 		}
 	}

@@ -186,7 +186,8 @@ func TestAtomicHistogramEmptySnapshot(t *testing.T) {
 }
 
 // TestSeriesConcurrentScrape hammers one series from several observer
-// goroutines while a reader snapshots continuously; the final totals must
+// goroutines, single events and sample batches spanning two partitions,
+// while a reader snapshots continuously; the final totals must
 // be exact, and no intermediate snapshot may panic. Run with -race.
 func TestSeriesConcurrentScrape(t *testing.T) {
 	s := NewRegistry().Series("vr", "SPEC-Trace-5", 5)
@@ -207,10 +208,16 @@ func TestSeriesConcurrentScrape(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			batch := make([]Event, 3)
 			for i := 0; i < perWriter; i++ {
 				s.observe(Event{At: time.Duration(i), Kind: KindJobSubmit})
 				s.observe(Event{At: time.Duration(i), Kind: KindMigrationComplete, Val: float64(i % 13)})
 				s.observe(Event{At: time.Duration(i / 100), Kind: KindNodeSample, Node: int32(w), Aux: 1, Val: 1})
+				for k := range batch {
+					batch[k] = Event{At: time.Duration(i / 100), Kind: KindNodeSample,
+						Node: int32(60 + w + k), Aux: 1, Val: 1}
+				}
+				s.observeSamples(batch)
 			}
 		}(w)
 	}
@@ -221,6 +228,9 @@ func TestSeriesConcurrentScrape(t *testing.T) {
 	}
 	if got := s.MigrationLatency().N(); got != writers*perWriter {
 		t.Fatalf("migration N = %d, want %d", got, writers*perWriter)
+	}
+	if got := s.KindCount(KindNodeSample); got != 4*writers*perWriter {
+		t.Fatalf("node-sample = %d, want %d", got, 4*writers*perWriter)
 	}
 }
 

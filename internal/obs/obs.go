@@ -270,23 +270,53 @@ func (t *Tracer) Emit(ev Event) {
 	t.buf = append(t.buf, ev)
 }
 
-// Reserve pre-grows an unbounded buffer to hold n more events, so bulk
-// emitters (the per-node sample loop) append without reallocating inside
-// the loop. Growth is geometric — at least doubling — so repeated
-// Reserve/append cycles stay amortized O(1) per event rather than
-// re-copying the whole buffer every sampling tick. Bounded rings never
-// grow; nil tracers and non-positive n are no-ops.
-func (t *Tracer) Reserve(n int) {
-	if t == nil || t.cap > 0 || t.discard || n <= 0 {
+// EmitSamples emits one sample tick's per-node series as a batch: every
+// event must be a KindNodeSample at one instant. Consumers see exactly
+// what Emit on each event in order would give them, but fold the batch in
+// one pass: the metrics series adds one kind count and publishes once per
+// partition, the flight recorder screens the batch's single instant once
+// and copies the events into its ring in bulk, and a retaining tracer
+// appends them. On a nil tracer or an empty batch it is a no-op.
+func (t *Tracer) EmitSamples(evs []Event) {
+	if t == nil || len(evs) == 0 {
 		return
 	}
-	if cap(t.buf)-len(t.buf) >= n {
+	if t.metrics != nil {
+		t.metrics.observeSamples(evs)
+	}
+	if t.rec != nil {
+		t.rec.observeSamples(evs)
+	}
+	if t.discard {
 		return
 	}
-	newCap := max(2*cap(t.buf), len(t.buf)+n)
-	grown := make([]Event, len(t.buf), newCap)
-	copy(grown, t.buf)
-	t.buf = grown
+	if t.cap <= 0 {
+		t.buf = append(t.buf, evs...)
+		return
+	}
+	if room := t.cap - len(t.buf); room > 0 {
+		n := min(room, len(evs))
+		t.buf = append(t.buf, evs[:n]...)
+		evs = evs[n:]
+	}
+	t.dropped += uint64(len(evs))
+	t.start = overwrite(t.buf, t.start, evs)
+}
+
+// overwrite stores evs into the full ring buf from position pos onward,
+// wrapping, and returns the position after the last one. Read from that
+// position, the ring holds what storing the events one by one would leave:
+// at most the last len(buf) of them, oldest first.
+func overwrite(buf []Event, pos int, evs []Event) int {
+	if len(evs) == 0 {
+		return pos
+	}
+	if over := len(evs) - len(buf); over > 0 {
+		evs = evs[over:]
+	}
+	n := copy(buf[pos:], evs)
+	copy(buf, evs[n:])
+	return (pos + len(evs)) % len(buf)
 }
 
 // Len reports the number of retained events.

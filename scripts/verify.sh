@@ -6,7 +6,8 @@
 # packages get a second -count=2 pass (catches cross-run state leakage in
 # the seeded fault streams), the steady-state zero-allocation guard runs
 # without the race detector, the quantum fold is fuzzed against dense ticks
-# for 20 s and the phase cursor against MemoryDemandAtMB for 10 s, the
+# for 20 s, the phase cursor against MemoryDemandAtMB for 10 s and the
+# fault injector's drop runs against one draw per period for 10 s, the
 # benchmark module's tests (bench/) check
 # its result goldens, a vrsim run with every fault dimension
 # enabled smoke-tests self-healing end to end, a level-1 chaos grid
@@ -51,6 +52,11 @@ go test ./internal/node -run '^$' -fuzz FuzzFoldMatchesTick -fuzztime 20s
 # DemandAt bit-identical to MemoryDemandAtMB on drawn profiles.
 echo "== go test ./internal/job -fuzz FuzzSegmentAt (10 s)"
 go test ./internal/job -run '^$' -fuzz FuzzSegmentAt -fuzztime 10s
+# The fault injector's drop runs: the same answers, and the same snapshot
+# positions, as one Float64 per node per period, across partitions,
+# retirements, joins and snapshot/restore.
+echo "== go test ./internal/faults -fuzz FuzzDropRefresh (10 s)"
+go test ./internal/faults -run '^$' -fuzz FuzzDropRefresh -fuzztime 10s
 # bench/ is its own module, so go test ./... above does not reach it. Its
 # goldens pin the result digests of all four benchmark workloads at seeds
 # 42 and 7.
