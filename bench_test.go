@@ -1,196 +1,27 @@
-// Package vrcluster_test benchmarks the reproduction end to end: one
-// benchmark per table and figure of the paper's evaluation, each running
-// the published workload through both policies and reporting the measured
-// reduction as a custom metric, plus micro-benchmarks of the simulator's
-// hot paths. The full five-trace sweep with printed rows lives in
-// cmd/vrbench; these benches regenerate each artifact at benchmark
-// granularity.
+// Package vrcluster_test holds micro-benchmarks of the simulator's hot
+// paths and the steady-state windows TestSteadyStateAllocs guards. The
+// end-to-end workloads (the paper run, the pressured cluster, the forked
+// grids and the operator configuration) are measured by the benchmark
+// module in bench/ (bash bench/run.sh).
 package vrcluster_test
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
 	"vrcluster/internal/cluster"
 	"vrcluster/internal/core"
-	"vrcluster/internal/experiments"
 	"vrcluster/internal/faults"
 	"vrcluster/internal/memory"
-	"vrcluster/internal/metrics"
 	"vrcluster/internal/node"
 	"vrcluster/internal/obs"
-	"vrcluster/internal/policy"
-	"vrcluster/internal/runner"
 	"vrcluster/internal/sim"
 	"vrcluster/internal/trace"
 	"vrcluster/internal/workload"
 )
 
-// benchQuantum trades a little timing resolution for benchmark speed; the
-// effect on hour-scale runs is below 0.1%.
+// benchQuantum is vrbench's default quantum, used by the blocked window.
 const benchQuantum = 100 * time.Millisecond
-
-func runPair(b *testing.B, g workload.Group, level int) (base, vr *metrics.Result) {
-	b.Helper()
-	gr, err := experiments.Run(experiments.RunConfig{
-		Group:   g,
-		Quantum: benchQuantum,
-		Levels:  []int{level},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	lr := gr.Levels[0]
-	return lr.Base, lr.VR
-}
-
-func reportReduction(b *testing.B, base, vr *metrics.Result) {
-	b.Helper()
-	b.ReportMetric(100*metrics.Reduction(base.TotalExec.Seconds(), vr.TotalExec.Seconds()), "%exec-reduction")
-	b.ReportMetric(100*metrics.Reduction(base.TotalQueue.Seconds(), vr.TotalQueue.Seconds()), "%queue-reduction")
-	b.ReportMetric(100*metrics.Reduction(base.MeanSlowdown, vr.MeanSlowdown), "%slowdown-reduction")
-}
-
-// BenchmarkTable1Workloads regenerates Table 1: synthesizing group-1 jobs
-// from the SPEC-2000 catalog.
-func BenchmarkTable1Workloads(b *testing.B) {
-	programs := workload.Programs(workload.Group1)
-	rng := rand.New(rand.NewSource(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := programs[i%len(programs)]
-		if _, err := p.NewJob(i, 0, rng, workload.DefaultJitter); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable2Workloads regenerates Table 2: synthesizing group-2 jobs.
-func BenchmarkTable2Workloads(b *testing.B) {
-	programs := workload.Programs(workload.Group2)
-	rng := rand.New(rand.NewSource(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := programs[i%len(programs)]
-		if _, err := p.NewJob(i, 0, rng, workload.DefaultJitter); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure1 regenerates Figure 1 (execution and queuing times of
-// workload group 1): one full paired simulation of SPEC-Trace-3 per
-// iteration, reporting the reductions.
-func BenchmarkFigure1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		base, vr := runPair(b, workload.Group1, 3)
-		reportReduction(b, base, vr)
-	}
-}
-
-// BenchmarkFigure2 regenerates Figure 2 (average slowdowns and idle memory
-// volumes of workload group 1) on the lightest trace.
-func BenchmarkFigure2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		base, vr := runPair(b, workload.Group1, 1)
-		reportReduction(b, base, vr)
-		b.ReportMetric(base.AvgIdleMB, "MB-idle-base")
-		b.ReportMetric(vr.AvgIdleMB, "MB-idle-vr")
-	}
-}
-
-// BenchmarkFigure3 regenerates Figure 3 (execution and queuing times of
-// workload group 2) on App-Trace-3.
-func BenchmarkFigure3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		base, vr := runPair(b, workload.Group2, 3)
-		reportReduction(b, base, vr)
-	}
-}
-
-// BenchmarkFigure4 regenerates Figure 4 (average slowdowns and job balance
-// skew of workload group 2) on App-Trace-2.
-func BenchmarkFigure4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		base, vr := runPair(b, workload.Group2, 2)
-		reportReduction(b, base, vr)
-		b.ReportMetric(base.AvgSkew, "skew-base")
-		b.ReportMetric(vr.AvgSkew, "skew-vr")
-	}
-}
-
-// BenchmarkAnalyticModel regenerates the Section 5 verification: the
-// reserved-queue bound and gain decomposition on App-Trace-1.
-func BenchmarkAnalyticModel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		base, vr := runPair(b, workload.Group2, 1)
-		b.ReportMetric((base.TotalExec - vr.TotalExec).Seconds(), "s-measured-gain")
-	}
-}
-
-// BenchmarkAblationRules regenerates the reserving-period rule ablation
-// (full drain vs early fit, Section 2.1) on App-Trace-2.
-func BenchmarkAblationRules(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		results, err := experiments.AblationRules(experiments.RunConfig{
-			Group:   workload.Group2,
-			Quantum: benchQuantum,
-		}, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range results {
-			if r.Variant == "vr-full-drain" || r.Variant == "vr-early-fit" {
-				b.ReportMetric(r.Result.TotalExec.Seconds(), "s-"+r.Variant)
-			}
-		}
-	}
-}
-
-// BenchmarkAblationBigJobs regenerates the Section 2.3 caveat: virtual
-// reconfiguration on a big-job-dominant workload.
-func BenchmarkAblationBigJobs(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		results, err := experiments.AblationBigJobs(experiments.RunConfig{
-			Group:   workload.Group1,
-			Quantum: benchQuantum,
-		}, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportReduction(b, results[0].Result, results[1].Result)
-	}
-}
-
-// Grid benchmarks: the same three-level paired sweep executed
-// sequentially and fanned out across the worker pool. On a multi-core
-// machine the parallel variant's wall time approaches work/cores; the
-// results are byte-identical either way (pinned by
-// TestParallelRunMatchesSequential in internal/experiments).
-func benchGrid(b *testing.B, parallel int) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		gr, err := experiments.Run(experiments.RunConfig{
-			Group:    workload.Group1,
-			Quantum:  benchQuantum,
-			Levels:   []int{1, 2, 3},
-			Parallel: parallel,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(gr.Speedup(), "x-speedup")
-	}
-}
-
-// BenchmarkExperimentGridSequential runs levels 1-3 of workload group 1 on
-// a single worker — the exact pre-runner code path.
-func BenchmarkExperimentGridSequential(b *testing.B) { benchGrid(b, 1) }
-
-// BenchmarkExperimentGridParallel runs the same grid with one worker per
-// CPU via the runner pool.
-func BenchmarkExperimentGridParallel(b *testing.B) { benchGrid(b, runner.DefaultParallelism()) }
 
 // Micro-benchmarks of the simulator substrate.
 
@@ -277,8 +108,8 @@ func BenchmarkTraceGenerate(b *testing.B) {
 	}
 }
 
-// benchClusterTrace synthesizes the shared 60-job trace used by the
-// ClusterRun benchmark family.
+// benchClusterTrace synthesizes the 60-job trace of the steady-state
+// windows on Cluster1.
 func benchClusterTrace(b testing.TB) *trace.Trace {
 	b.Helper()
 	tr, err := trace.Generate(trace.Config{
@@ -298,111 +129,11 @@ func benchClusterTrace(b testing.TB) *trace.Trace {
 	return tr
 }
 
-// benchClusterRun runs the shared trace under the full V-Reconfiguration
-// stack; traced installs an unbounded event tracer first.
-func benchClusterRun(b *testing.B, traced bool) {
-	tr := benchClusterTrace(b)
-	events := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sched, err := core.NewVReconfiguration(core.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg := cluster.Cluster1()
-		cfg.Quantum = 10 * time.Millisecond
-		if traced {
-			cfg.Obs = obs.NewTracer(0)
-		}
-		c, err := cluster.New(cfg, sched)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := c.Run(tr); err != nil {
-			b.Fatal(err)
-		}
-		events = c.Tracer().Len()
-	}
-	if traced {
-		b.ReportMetric(float64(events), "events")
-	}
-}
-
-// BenchmarkClusterRun measures a complete small trace execution on a
-// 32-node cluster under the full V-Reconfiguration stack, at the fine
-// 10 ms quantum, with tracing disabled (the emit path reduces to a nil
-// check). BENCH_5.json pairs it with BenchmarkClusterRunTraced to pin the
-// observability layer's overhead.
-func BenchmarkClusterRun(b *testing.B) { benchClusterRun(b, false) }
-
-// BenchmarkClusterRunTraced is the same execution with an unbounded event
-// tracer installed, measuring the cost of recording every scheduler
-// decision plus the periodic per-node samples.
-func BenchmarkClusterRunTraced(b *testing.B) { benchClusterRun(b, true) }
-
-// benchSeedGrid runs the five-seed sensitivity grid on SPEC-Trace-3 with
-// one worker, either forking each cell off a shared warmup prefix or
-// re-simulating every cell from scratch. The rows are byte-identical
-// either way; BENCH_7.json pairs the two to record the fork speedup.
-func benchSeedGrid(b *testing.B, fork bool) {
-	b.Helper()
-	cfg := experiments.RunConfig{
-		Group:    workload.Group1,
-		Quantum:  benchQuantum,
-		Parallel: 1,
-		Fork:     fork,
-	}
-	seeds := []int64{7, 21, 42, 99, 1234}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.SeedSensitivity(cfg, 3, seeds); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSeedGridFork shares the simulated warmup prefix across cells.
-func BenchmarkSeedGridFork(b *testing.B) { benchSeedGrid(b, true) }
-
-// BenchmarkSeedGridFresh re-simulates the full trace for every cell.
-func BenchmarkSeedGridFresh(b *testing.B) { benchSeedGrid(b, false) }
-
-// BenchmarkClusterRunBaseline is the same execution under plain
-// G-Loadsharing, isolating the reconfiguration machinery's overhead (the
-// paper: "the adaptive process causes little additional overhead").
-func BenchmarkClusterRunBaseline(b *testing.B) {
-	tr, err := trace.Generate(trace.Config{
-		Name:     "bench",
-		Group:    workload.Group1,
-		Sigma:    2,
-		Mu:       2,
-		Jobs:     60,
-		Duration: 10 * time.Minute,
-		Nodes:    32,
-		Seed:     1,
-		Jitter:   workload.DefaultJitter,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg := cluster.Cluster1()
-		cfg.Quantum = 10 * time.Millisecond
-		c, err := cluster.New(cfg, policy.NewGLoadSharing())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := c.Run(tr); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchPressuredTrace synthesizes the pressure-saturated trace used by the
-// pressured ClusterRun benchmarks: the Group1 mix restricted to its four
-// largest working sets at ~3 resident jobs per workstation at the
-// saturation peak, so demand sits above user memory for most of the run.
+// benchPressuredTrace synthesizes the pressure-saturated trace of
+// BenchmarkClusterRunPressured and the pressured window: the Group1 mix
+// restricted to its four largest working sets at ~3 resident jobs per
+// workstation at the saturation peak, so demand sits above user memory for
+// most of the run.
 // The slow-ramp programs (apsi, mcf) keep the quantum fold stepping through
 // pressured ramps while the quick-ramp ones (gzip, bzip) add long
 // pressured-flat stretches, so the fold runs through all of its pressured
@@ -426,10 +157,10 @@ func benchPressuredTrace(b testing.TB) *trace.Trace {
 	return tr
 }
 
-// benchClusterRunPressured runs the saturated trace under the full
-// V-Reconfiguration stack; dense forces quantum-by-quantum ticking so the
-// pair isolates the quantum fold's gain (DESIGN.md §12).
-func benchClusterRunPressured(b *testing.B, dense bool) {
+// BenchmarkClusterRunPressured measures a pressure-heavy trace execution
+// under the full V-Reconfiguration stack, at the fine 10 ms quantum, where
+// the node quantum fold covers the pressured stretches.
+func BenchmarkClusterRunPressured(b *testing.B) {
 	tr := benchPressuredTrace(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -439,7 +170,6 @@ func benchClusterRunPressured(b *testing.B, dense bool) {
 		}
 		cfg := cluster.Cluster1()
 		cfg.Quantum = 10 * time.Millisecond
-		cfg.DenseTicks = dense
 		c, err := cluster.New(cfg, sched)
 		if err != nil {
 			b.Fatal(err)
@@ -449,15 +179,6 @@ func benchClusterRunPressured(b *testing.B, dense bool) {
 		}
 	}
 }
-
-// BenchmarkClusterRunPressured measures a pressure-heavy trace execution
-// with the batched quantum clock, whose quantum fold covers the pressured
-// stretches too. BENCH_8.json pairs it with the forced-dense variant below.
-func BenchmarkClusterRunPressured(b *testing.B) { benchClusterRunPressured(b, false) }
-
-// BenchmarkClusterRunPressuredDense is the same execution with batching
-// disabled — the pre-fold cost of a saturated cluster.
-func BenchmarkClusterRunPressuredDense(b *testing.B) { benchClusterRunPressured(b, true) }
 
 // Steady-state windows: the cluster is armed and warmed up once, then every
 // iteration rewinds to the warmup snapshot and re-simulates one second of
@@ -589,42 +310,17 @@ func (sc steadyCase) arm(tb testing.TB) func() {
 	return run
 }
 
-func benchSteady(b *testing.B, name string) {
+// BenchmarkClusterRunSteady measures every steady-state window, one
+// sub-benchmark per steadyCases entry.
+func BenchmarkClusterRunSteady(b *testing.B) {
 	for _, sc := range steadyCases {
-		if sc.name != name {
-			continue
-		}
-		run := sc.arm(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			run()
-		}
-		return
+		b.Run(sc.name, func(b *testing.B) {
+			run := sc.arm(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		})
 	}
-	b.Fatalf("no steady case %q", name)
 }
-
-// BenchmarkClusterRunSteady measures the plain steady-state window.
-func BenchmarkClusterRunSteady(b *testing.B) { benchSteady(b, "plain") }
-
-// BenchmarkClusterRunSteadyPressured measures the window on the saturated
-// trace at its residency peak.
-func BenchmarkClusterRunSteadyPressured(b *testing.B) { benchSteady(b, "pressured") }
-
-// BenchmarkClusterRunSteadyMetrics measures the window with live telemetry
-// attached.
-func BenchmarkClusterRunSteadyMetrics(b *testing.B) { benchSteady(b, "metrics") }
-
-// BenchmarkClusterRunSteadyBlocked measures a window whose control tick
-// retries a long pending queue.
-func BenchmarkClusterRunSteadyBlocked(b *testing.B) { benchSteady(b, "blocked") }
-
-// BenchmarkClusterRunSteadyAudit measures the window with the invariant
-// auditor on.
-func BenchmarkClusterRunSteadyAudit(b *testing.B) { benchSteady(b, "audit") }
-
-// BenchmarkClusterRunSteadyDrops measures the window with telemetry, the
-// auditor and refresh drops on: the operator configuration's per-period
-// bookkeeping.
-func BenchmarkClusterRunSteadyDrops(b *testing.B) { benchSteady(b, "drops") }

@@ -8,13 +8,14 @@
 //	vrbench -exp fig1            # Figure 1 only
 //	vrbench -exp ablations -level 3
 //	vrbench -exp faults -level 2 # failure-rate sweep with self-healing
-//	vrbench -exp scale -nodes 10000 -parallel 8 -benchout bench.txt
+//	vrbench -exp scale -nodes 10000 -parallel 8
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -41,17 +42,19 @@ func run(args []string) (err error) {
 		exp      = fs.String("exp", "all", "experiment: all, table1, table2, fig1, fig2, fig3, fig4, analytic, intervals, ablations, ablate, seeds, faults, chaos, scale")
 		seed     = fs.Int64("seed", experiments.DefaultSeed, "trace generation seed")
 		quantum  = fs.Duration("quantum", 100*time.Millisecond, "CPU scheduling quantum")
-		level    = fs.Int("level", 3, "trace level for the ablation studies")
+		level    = fs.Int("level", 3, "trace level for -exp all, ablations, seeds, ablate and faults")
 		parallel = fs.Int("parallel", runner.DefaultParallelism(), "worker goroutines for independent runs (1 = sequential)")
 		nodes    = fs.Int("nodes", 10000, "largest cluster size for the scaling sweep (-exp scale)")
 		jobs     = fs.Int("jobs", 0, "submissions at the largest scale point, scaled down proportionally (0 = two per node, cap 1e6)")
-		benchout = fs.String("benchout", "", "also write the scaling sweep as go-test bench lines to this file (-exp scale; for cmd/benchjson)")
 		levels   = fs.String("levels", "", "comma-separated trace levels for -exp chaos (default all five)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = fs.String("memprofile", "", "write a heap profile to this file on exit")
 		metrics  = fs.String("metrics", "", "serve live telemetry on this address while experiments run (e.g. 127.0.0.1:9091)")
 	)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := validateExpFlags(fs, *exp); err != nil {
 		return err
 	}
 	var reg *obs.Registry
@@ -179,27 +182,7 @@ func run(args []string) (err error) {
 		if err != nil {
 			return err
 		}
-		if err := experiments.RenderScale(out, sweep); err != nil {
-			return err
-		}
-		if *benchout != "" {
-			lines, err := experiments.ScaleBenchLines(sweep)
-			if err != nil {
-				return err
-			}
-			f, err := os.Create(*benchout)
-			if err != nil {
-				return err
-			}
-			for _, l := range lines {
-				fmt.Fprintln(f, l)
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "bench lines written to %s\n", *benchout)
-		}
-		return nil
+		return experiments.RenderScale(out, sweep)
 	case "faults":
 		fmt.Fprintf(out, "running fault sweep on trace level %d...\n\n", *level)
 		plan := faults.Plan{Crash: faults.Requeue, DropRate: 0.1, AbortRate: 0.2}
@@ -222,6 +205,27 @@ func run(args []string) (err error) {
 	default:
 		return fmt.Errorf("unknown experiment %q", *exp)
 	}
+}
+
+// expFlags lists the flags only some experiments read, with the -exp
+// values that read them.
+var expFlags = map[string][]string{
+	"nodes":  {"scale"},
+	"jobs":   {"scale"},
+	"levels": {"chaos"},
+	"level":  {"all", "ablations", "seeds", "ablate", "faults"},
+}
+
+// validateExpFlags rejects a flag set explicitly that the chosen
+// experiment would silently ignore.
+func validateExpFlags(fs *flag.FlagSet, exp string) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if needs, ok := expFlags[f.Name]; ok && err == nil && !slices.Contains(needs, exp) {
+			err = fmt.Errorf("-%s needs -exp %s", f.Name, strings.Join(needs, "|"))
+		}
+	})
+	return err
 }
 
 // parseLevels parses a comma-separated level list ("1,3,5"); empty means

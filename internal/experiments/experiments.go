@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"vrcluster/internal/analytic"
@@ -67,9 +68,12 @@ func (c *RunConfig) validate() error {
 	if len(c.Levels) == 0 {
 		c.Levels = []int{1, 2, 3, 4, 5}
 	}
-	for _, l := range c.Levels {
+	for i, l := range c.Levels {
 		if l < 1 || l > len(trace.Levels) {
 			return fmt.Errorf("experiments: level %d out of range", l)
+		}
+		if slices.Contains(c.Levels[:i], l) {
+			return fmt.Errorf("experiments: duplicate level %d", l)
 		}
 	}
 	if c.Rule == 0 {

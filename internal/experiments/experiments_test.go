@@ -32,6 +32,11 @@ func TestRunConfigValidation(t *testing.T) {
 	if _, err := Run(badLevel); err == nil {
 		t.Error("out-of-range level should fail")
 	}
+	dupLevel := fastConfig()
+	dupLevel.Levels = []int{1, 2, 1}
+	if _, err := Run(dupLevel); err == nil || !strings.Contains(err.Error(), "duplicate level 1") {
+		t.Errorf("duplicate level: err = %v, want duplicate level 1", err)
+	}
 }
 
 func TestRunProducesPairedResults(t *testing.T) {

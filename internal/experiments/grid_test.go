@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -105,9 +106,24 @@ var gridCases = []gridCase{
 		}
 		s.Wall, s.Work = 0, 0
 		for i := range s.Points {
-			s.Points[i].Wall, s.Points[i].HeapNs, s.Points[i].DenseNs = 0, 0, 0
+			s.Points[i].Wall = 0
 		}
 		return s, nil
+	}, check: func(t *testing.T, out any) {
+		var buf strings.Builder
+		if err := RenderScale(&buf, out.(*ScaleSweep)); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(buf.String(), "\n")
+		if len(lines) < 4 {
+			t.Fatalf("scale table %q: want a title, a header and two rows", buf.String())
+		}
+		if !strings.HasSuffix(lines[1], "scan/select") {
+			t.Errorf("scale table header %q, want scan/select as the last column", lines[1])
+		}
+		if !strings.Contains(lines[2], " 32 ") || !strings.Contains(lines[3], " 100 ") {
+			t.Errorf("scale table rows %q, %q: want the 32- and 100-node points", lines[2], lines[3])
+		}
 	}},
 }
 

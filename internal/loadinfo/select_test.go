@@ -1,6 +1,7 @@
 package loadinfo
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -223,4 +224,66 @@ func TestPartitionStats(t *testing.T) {
 	if _, err := b.PartitionStats(b.Partitions()); err == nil {
 		t.Error("out-of-range partition should error")
 	}
+}
+
+// BenchmarkSelect times one BestDestination query on an n-node board,
+// through the partition heaps (algo=heap) and through the dense O(n)
+// reference (algo=dense), on the cluster sizes of the scaling sweep
+// (vrbench -exp scale). Both algorithms see the identical board and query
+// sequence: a seeded mix of idle spreads, full slots, pressure and a few
+// reserved and down nodes, so the timings reflect a realistically mixed
+// board rather than a best-case one.
+func BenchmarkSelect(b *testing.B) {
+	for _, algo := range []string{"heap", "dense"} {
+		for _, n := range []int{32, 100, 320, 1000, 3200, 10000} {
+			b.Run(fmt.Sprintf("algo=%s/nodes=%d", algo, n), func(b *testing.B) {
+				board, demands, exclude := selectBoard(b, n, 42)
+				board.SetDenseSelect(algo == "dense")
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					selectSink, _ = board.BestDestination(demands[i%len(demands)], exclude)
+				}
+			})
+		}
+	}
+}
+
+// selectSink keeps BenchmarkSelect's queries from being optimized away.
+var selectSink int
+
+// selectBoard builds BenchmarkSelect's seeded n-node board of 4-slot,
+// 384 MB workstations, plus 4096 query demands and one excluded node.
+func selectBoard(tb testing.TB, n int, seed int64) (*Board, []float64, map[int]bool) {
+	tb.Helper()
+	b, err := NewBoard(n, DefaultPeriod)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < n; i++ {
+		e := Entry{
+			NodeID: i,
+			Jobs:   rng.Intn(5),
+			Slots:  4,
+			IdleMB: float64(rng.Intn(384)),
+			UserMB: float64(rng.Intn(200)),
+		}
+		e.HasSlot = e.Jobs < e.Slots
+		switch rng.Intn(16) {
+		case 0:
+			e.Pressured = true
+		case 1:
+			e.Reserved = true
+		case 2:
+			e.Down = true
+		}
+		if err := b.Publish(i, e); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	demands := make([]float64, 4096)
+	for i := range demands {
+		demands[i] = float64(rng.Intn(400))
+	}
+	return b, demands, map[int]bool{rng.Intn(n): true}
 }

@@ -12,22 +12,13 @@
 # its result goldens, a vrsim run with every fault dimension
 # enabled smoke-tests self-healing end to end, a level-1 chaos grid
 # (membership churn + domain faults, invariant auditor on) must complete
-# with zero violations, and the forked seed and what-if grids run once.
-#
-# With --bench, a single-iteration pass over the core benchmarks runs at
-# the end — a smoke check that the hot paths still execute and report,
-# making perf regressions visible without the full scripts/bench.sh
-# snapshot.
+# with zero violations, the forked seed and what-if grids run once, and
+# every package's benchmarks run for a single iteration each (a smoke check
+# that they still execute; bench/ is where performance is measured).
 set -eu
 cd "$(dirname "$0")/.."
 
-BENCH=0
-for arg in "$@"; do
-    case "$arg" in
-    --bench) BENCH=1 ;;
-    *) echo "verify.sh: unknown argument $arg" >&2; exit 2 ;;
-    esac
-done
+[ $# -eq 0 ] || { echo "verify.sh: takes no arguments" >&2; exit 2; }
 
 echo "== go vet ./..."
 go vet ./...
@@ -72,10 +63,6 @@ go run ./cmd/vrbench -exp chaos -levels 1 >/dev/null
 echo "== forked-grid smoke runs (cmd/vrbench -exp seeds, -exp ablate)"
 go run ./cmd/vrbench -exp seeds -level 1 >/dev/null
 go run ./cmd/vrbench -exp ablate -level 1 >/dev/null
-if [ "$BENCH" = 1 ]; then
-    echo "== bench smoke (single iteration)"
-    go test -run '^$' -benchtime=1x \
-        -bench 'BenchmarkClusterRun$|BenchmarkClusterRunTraced|BenchmarkClusterRunBaseline|BenchmarkEngineScheduleRun|BenchmarkEngineScheduleCancel|BenchmarkNodeTick' \
-        -benchmem .
-fi
+echo "== go test -bench . -benchtime 1x ./... (bench smoke)"
+go test -run '^$' -bench . -benchtime 1x ./...
 echo "verify: OK"
