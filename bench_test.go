@@ -196,7 +196,11 @@ type steadyCase struct {
 	// blocked requires submissions to be waiting in the pending queue at
 	// the snapshot, so each window retries them.
 	blocked bool
-	setup   func(tb testing.TB) (cluster.Config, *trace.Trace)
+	// partitioned requires exactly one failure domain to be partitioned
+	// at the snapshot and at the window's end, so each window's drop sets
+	// carry its members.
+	partitioned bool
+	setup       func(tb testing.TB) (cluster.Config, *trace.Trace)
 }
 
 // steadyCases lists every steady-state window, in benchmark order.
@@ -207,6 +211,7 @@ var steadyCases = []steadyCase{
 	{name: "blocked", warmup: 10 * time.Minute, blocked: true, setup: steadyBlocked},
 	{name: "audit", warmup: 5 * time.Minute, setup: steadyAudit},
 	{name: "drops", warmup: 5 * time.Minute, setup: steadyDrops},
+	{name: "partition", warmup: 5 * time.Minute, partitioned: true, setup: steadyPartition},
 }
 
 // steadyPlain runs the shared 60-job trace on Cluster1 at 10 ms.
@@ -268,6 +273,29 @@ func steadyDrops(tb testing.TB) (cluster.Config, *trace.Trace) {
 	return cfg, tr
 }
 
+// steadyPartition is the drops window with one of its eight failure
+// domains partitioned from the rest: the partition that opens first never
+// heals within the run, and the next does not open before the window ends.
+func steadyPartition(tb testing.TB) (cluster.Config, *trace.Trace) {
+	cfg, tr := steadyDrops(tb)
+	cfg.Faults.PartitionMTBF = 30 * time.Minute
+	cfg.Faults.PartitionMTTR = 1000 * time.Hour
+	return cfg, tr
+}
+
+// partitionedDomains counts the failure domains c's injector holds
+// partitioned; node d belongs to domain d.
+func partitionedDomains(c *cluster.Cluster) int {
+	in := c.Injector()
+	n := 0
+	for d := 0; d < in.Plan().Domains; d++ {
+		if in.Partitioned(d) {
+			n++
+		}
+	}
+	return n
+}
+
 // arm builds the case's cluster under V-Reconfiguration, runs it to the
 // warmup instant and snapshots it there. The returned function rewinds to
 // the snapshot and re-simulates the window after it; arm primes it twice,
@@ -293,6 +321,9 @@ func (sc steadyCase) arm(tb testing.TB) func() {
 	if sc.blocked && c.PendingCount() == 0 {
 		tb.Fatalf("%s: no blocked submissions at %v", sc.name, sc.warmup)
 	}
+	if sc.partitioned && partitionedDomains(c) != 1 {
+		tb.Fatalf("%s: %d partitioned domains at %v, want 1", sc.name, partitionedDomains(c), sc.warmup)
+	}
 	snap, err := c.Snapshot()
 	if err != nil {
 		tb.Fatal(err)
@@ -307,6 +338,9 @@ func (sc steadyCase) arm(tb testing.TB) func() {
 	}
 	run()
 	run()
+	if sc.partitioned && partitionedDomains(c) != 1 {
+		tb.Fatalf("%s: %d partitioned domains after the window, want 1", sc.name, partitionedDomains(c))
+	}
 	return run
 }
 

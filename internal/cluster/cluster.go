@@ -474,6 +474,24 @@ func (c *Cluster) ForEachPressured(fn func(n *node.Node) bool) {
 	}
 }
 
+// NextPressured reports the lowest-numbered memory-pressured workstation
+// at or above from. It reads the pressured mask as it stands at the call,
+// so a walk that asks for the next member after each visit also reaches
+// the workstations that turned pressured meanwhile, in ascending ID order.
+func (c *Cluster) NextPressured(from int) (int, bool) {
+	from = max(from, 0)
+	for wi := from >> 6; wi < len(c.pressured); wi++ {
+		w := c.pressured[wi]
+		if wi == from>>6 {
+			w &= ^uint64(0) << uint(from&63)
+		}
+		if w != 0 {
+			return wi<<6 + bits.TrailingZeros64(w), true
+		}
+	}
+	return -1, false
+}
+
 // Engine exposes the discrete-event engine (for policies that schedule
 // their own callbacks and for tests).
 func (c *Cluster) Engine() *sim.Engine { return c.engine }
@@ -498,6 +516,10 @@ func (c *Cluster) Collector() *metrics.Collector { return c.col }
 // Auditor returns the run's invariant auditor, or nil unless Config.Audit
 // enabled it.
 func (c *Cluster) Auditor() *audit.Auditor { return c.auditor }
+
+// Injector returns the run's fault injector, or nil until Start arms an
+// active Config.Faults plan.
+func (c *Cluster) Injector() *faults.Injector { return c.injector }
 
 // Network reports the interconnect model.
 func (c *Cluster) Network() network.Model { return c.net }
@@ -709,17 +731,32 @@ func (c *Cluster) Start(tr *trace.Trace) error {
 			}
 			// No engine event inside the next quantum: tick inline and
 			// advance the clock instead of paying a heap push/pop for an
-			// un-contended re-arm. When the event horizon is several
-			// quanta away, first try to fold the whole stretch in one
-			// pass per active workstation — legal while no node has a
-			// completion inside the stretch, so no scheduler callback or
-			// cross-node interaction can fire.
-			if kEvent := int64((next - now - 1) / q); ok && kEvent >= 2 {
-				if k := c.planBatch(kEvent); k >= 2 {
+			// un-contended re-arm. First try to fold the stretch up to
+			// the event in one pass per active workstation — legal while
+			// no node has a completion inside the stretch, so no
+			// scheduler callback or cross-node interaction can fire.
+			// kLast quanta are due before next, the last of them in the
+			// final quantum before it: folding that one too leaves the
+			// clock where the dense path would re-arm its timer, and the
+			// re-arm takes the same place in the event order, since a
+			// completion-free fold schedules nothing.
+			if ok {
+				kLast := int64((next - now + q - 1) / q)
+				if k := c.planBatch(kLast); k >= 2 {
 					if err := c.applyBatch(now, k); err != nil {
 						c.fail(err)
 						return
 					}
+					if k == kLast {
+						if err := c.engine.AdvanceTo(now + time.Duration(k-1)*q); err != nil {
+							c.fail(err)
+							return
+						}
+						c.quantumHandle = c.engine.After(q, quantumFn)
+						return
+					}
+					// The completion floor cut the stretch short of the
+					// last quantum; carry on from where it ends.
 					if err := c.engine.AdvanceTo(now + time.Duration(k)*q); err != nil {
 						c.fail(err)
 						return
@@ -1279,17 +1316,13 @@ func (c *Cluster) tickNode(n *node.Node, now time.Duration) error {
 // stranded migrations and blocked submissions against the updated state.
 func (c *Cluster) controlTick() error {
 	now := c.engine.Now()
-	var drop func(id int) bool
+	var dropped []uint64
 	if c.injector != nil {
-		drop = func(id int) bool {
-			if c.injector.DropRefresh(id) {
-				c.col.RefreshDrops++
-				return true
-			}
-			return false
-		}
+		var n int
+		dropped, n = c.injector.Drops()
+		c.col.RefreshDrops += n
 	}
-	if err := c.board.RefreshWith(now, c.nodes, drop); err != nil {
+	if err := c.board.RefreshWith(now, c.nodes, dropped); err != nil {
 		return err
 	}
 	c.sched.OnControl(c, now)

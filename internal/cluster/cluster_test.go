@@ -590,3 +590,37 @@ func TestFaultsDeterministic(t *testing.T) {
 		t.Errorf("identical faulty runs differ:\n%+v\n%+v", a, b)
 	}
 }
+
+// TestNextPressured walks the pressured set across mask words, and sees a
+// workstation that turns pressured ahead of the walk.
+func TestNextPressured(t *testing.T) {
+	c, err := cluster.New(smallCluster(130, 100, 4), policy.NewGLoadSharing())
+	if err != nil {
+		t.Fatal(err)
+	}
+	press := func(id int) {
+		t.Helper()
+		if err := c.Nodes()[id].ExpectMigration(1000+id, 150); err != nil {
+			t.Fatal(err)
+		}
+	}
+	walk := func() []int {
+		var ids []int
+		for id, ok := c.NextPressured(0); ok; id, ok = c.NextPressured(id + 1) {
+			ids = append(ids, id)
+			if id == 3 {
+				press(70) // turns pressured while the walk stands at node 3
+			}
+		}
+		return ids
+	}
+	for _, id := range []int{3, 64, 129} {
+		press(id)
+	}
+	if got, want := walk(), []int{3, 64, 70, 129}; !reflect.DeepEqual(got, want) {
+		t.Errorf("walk visited %v, want %v", got, want)
+	}
+	if id, ok := c.NextPressured(130); ok {
+		t.Errorf("NextPressured past the last node = %d", id)
+	}
+}

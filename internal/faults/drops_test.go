@@ -75,26 +75,32 @@ func TestDrawRunEndsAtRedraw(t *testing.T) {
 	}
 }
 
-// TestDropRunPosition checks the position Snapshot records: inside a run
-// it counts one value per answered period from the run's start, and once
-// the run is used up it is the stream's own count, which covers a final
-// Float64 that took a redraw.
+// TestDropRunPosition checks the position Snapshot records: a run counts
+// one value per answered period from its start, whether it sits on the
+// calendar (its remaining periods read off its end) or is frozen (they are
+// kept in left), and before a node's first run the position is the
+// stream's own count, which covers a Float64 that took a redraw.
 func TestDropRunPosition(t *testing.T) {
 	src := sim.NewCountingSource(1)
 	for i := 0; i < 9; i++ {
 		src.Int63()
 	}
-	r := dropRun{from: 3, n: 5, left: 2}
-	if got := r.position(src); got != 6 {
-		t.Errorf("mid-run position %d, want 6", got)
+	in := &Injector{dropSrc: []*sim.CountingSource{src}, period: 10,
+		runs: []dropRun{{from: 3, n: 5, left: 2}}}
+	if got := in.dropPosition(0); got != 6 {
+		t.Errorf("frozen position %d, want 6", got)
 	}
-	r.left = 0
-	if got := r.position(src); got != 9 {
-		t.Errorf("finished-run position %d, want the stream's 9", got)
+	in.runs[0].queued, in.runs[0].end = true, 11 // periods 10 and 11 left
+	if got := in.dropPosition(0); got != 6 {
+		t.Errorf("queued position %d, want 6", got)
+	}
+	in.runs[0] = dropRun{}
+	if got := in.dropPosition(0); got != 9 {
+		t.Errorf("position before the first run %d, want the stream's 9", got)
 	}
 }
 
-// dropRef is the reference the fuzzer checks DropRefresh against: one
+// dropRef is the reference the fuzzer checks Drops against: one
 // Float64 per node per answered period, straight from rand.Rand.
 type dropRef struct {
 	rng     []*rand.Rand
@@ -110,16 +116,16 @@ func (r *dropRef) addNode() {
 	r.retired = append(r.retired, false)
 }
 
-// drop answers one period for id the way DropRefresh always has; the
+// drop answers one period for node id with one Float64 per call; the
 // partition state comes from the injector's per-domain flags.
 func (r *dropRef) drop(in *Injector, id int, rate float64) bool {
-	if id >= 0 && id < len(r.retired) && r.retired[id] {
+	if r.retired[id] {
 		return false
 	}
-	if id >= 0 && in.partitioned[id%in.plan.Domains] {
+	if in.partitioned[id%in.plan.Domains] {
 		return true
 	}
-	if rate <= 0 || id < 0 || id >= len(r.rng) {
+	if rate <= 0 {
 		return false
 	}
 	return r.rng[id].Float64() < rate
@@ -136,9 +142,9 @@ type dropSaved struct {
 // FuzzDropRefresh drives the injector and the reference through a fuzzed
 // script of control periods, clock advances (which open and heal
 // partitions on the injector's own timers), retirements, joins, and
-// snapshot/restore, and requires the same answer for every node in every
-// period and, after each period, snapshot positions equal to the
-// reference's draw counts.
+// snapshot/restore, and requires the calendar's drop set of every period
+// to hold exactly the nodes the reference drops, and, after each period,
+// snapshot positions equal to the reference's draw counts.
 func FuzzDropRefresh(f *testing.F) {
 	f.Add(1.0, int64(1), []byte{0, 0, 2, 0, 5, 0, 3, 0, 11, 0, 4, 0, 0})
 	f.Add(1e-300, int64(2), []byte{0, 0, 0, 5, 0, 0, 11, 0, 4, 0, 2, 2, 0})
@@ -146,6 +152,14 @@ func FuzzDropRefresh(f *testing.F) {
 	// Snapshot inside a partition, run past its heal, restore, and ask:
 	// the restore must bring the partitioned-domain count back too.
 	f.Add(1.0/6, int64(88), []byte("bzA8#0"))
+	// Partitions open while runs are part-way through (periods, clock
+	// advances until all three domains go dark, more periods, then an
+	// advance past every heal and more periods): each member's run must
+	// resume where it froze.
+	f.Add(0.05, int64(5), []byte{0, 0, 0, 0, 0, 0, 0, 14, 0, 0, 0, 0, 26, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 26, 26, 0, 0, 0, 56, 0, 0, 0, 0})
+	// Runs capped at maxDropRun periods with no drop in them: 70 periods,
+	// a snapshot, 6 more, the restore, and 3 more.
+	f.Add(1e-300, int64(6), append(append(append(make([]byte, 70), 5), make([]byte, 6)...), 11, 0, 0, 0))
 	f.Fuzz(func(t *testing.T, rate float64, seed int64, script []byte) {
 		if !(rate >= 0 && rate <= 1) {
 			t.Skip("Plan.Validate rejects the rate")
@@ -169,12 +183,20 @@ func FuzzDropRefresh(f *testing.F) {
 		for step, op := range script {
 			arg := int(op / 6)
 			switch op % 6 {
-			case 0, 1: // one control period, out-of-range IDs included
-				for id := -1; id <= len(ref.rng); id++ {
+			case 0, 1: // one control period
+				set, n := in.Drops()
+				count := 0
+				for id := range ref.rng {
 					want := ref.drop(in, id, rate)
-					if got := in.DropRefresh(id); got != want {
-						t.Fatalf("step %d node %d: DropRefresh %v, want %v", step, id, got, want)
+					if got := set[id>>6]&(1<<uint(id&63)) != 0; got != want {
+						t.Fatalf("step %d node %d: dropped %v, want %v", step, id, got, want)
 					}
+					if want {
+						count++
+					}
+				}
+				if n != count || in.Dropped(-1) || in.Dropped(len(ref.rng)) {
+					t.Fatalf("step %d: drop set of %d, want %d and no out-of-range member", step, n, count)
 				}
 				s := in.Snapshot()
 				for id, src := range ref.src {

@@ -268,8 +268,15 @@ type Injector struct {
 	partSrc   []*sim.CountingSource
 
 	// runs holds each node's drop decisions drawn ahead of the periods
-	// that consume them (see DropRefresh).
-	runs []dropRun
+	// that consume them, each filed on the calendar under the period its
+	// last answer falls in (see Drops in drops.go); period is the next
+	// period Drops answers. dropped is the last period's drop set, one bit
+	// per node, and droppedIDs its members, cleared by the next period.
+	runs       []dropRun
+	calendar   [calendarSlots]int32
+	period     uint64
+	dropped    []uint64
+	droppedIDs []int32
 
 	downBy      []downOwner // per-node crash ownership
 	retired     []bool      // per-node retirement (removed from membership)
@@ -324,11 +331,21 @@ func NewInjector(engine *sim.Engine, plan Plan, nodes int, hooks Hooks) (*Inject
 		runs:     make([]dropRun, nodes),
 		downBy:   make([]downOwner, nodes),
 		retired:  make([]bool, nodes),
+
+		dropped:    make([]uint64, (nodes+63)/64),
+		droppedIDs: make([]int32, 0, nodes),
+	}
+	for s := range in.calendar {
+		in.calendar[s] = -1
 	}
 	in.migRNG, in.migSrc = stream(plan.Seed, 2, 0)
 	for i := 0; i < nodes; i++ {
 		in.crashRNG[i], in.crashSrc[i] = stream(plan.Seed, 0, i)
 		_, in.dropSrc[i] = stream(plan.Seed, 1, i)
+		in.runs[i] = dropRun{prev: -1, next: -1}
+		if plan.DropRate > 0 {
+			in.startRun(i)
+		}
 	}
 	if plan.Domains > 0 {
 		in.domainRNG = make([]*rand.Rand, plan.Domains)
@@ -359,9 +376,17 @@ func (in *Injector) AddNode(id int) error {
 	in.crashRNG = append(in.crashRNG, crashRNG)
 	in.crashSrc = append(in.crashSrc, crashSrc)
 	in.dropSrc = append(in.dropSrc, dropSrc)
-	in.runs = append(in.runs, dropRun{})
+	in.runs = append(in.runs, dropRun{prev: -1, next: -1})
 	in.downBy = append(in.downBy, ownerNone)
 	in.retired = append(in.retired, false)
+	if id>>6 >= len(in.dropped) {
+		in.dropped = append(in.dropped, 0)
+	}
+	// A member of a partitioned domain draws its first run when the
+	// partition heals.
+	if in.plan.DropRate > 0 && !in.Partitioned(id) {
+		in.startRun(id)
+	}
 	if in.started && in.plan.MTBF > 0 {
 		in.armCrash(id)
 	}
@@ -387,11 +412,12 @@ func (in *Injector) Partitioned(nodeID int) bool {
 
 // RetireNode marks a workstation as removed from membership: its crash
 // chain stops at the next firing (the pending timer is left to expire — a
-// retired node absorbs it silently) and domain waves and partitions skip it
-// from now on.
+// retired node absorbs it silently), domain waves and partitions skip it
+// from now on, and its drop run leaves the calendar.
 func (in *Injector) RetireNode(id int) {
 	if id >= 0 && id < len(in.retired) {
 		in.retired[id] = true
+		in.freeze(id)
 	}
 }
 
@@ -568,10 +594,26 @@ func (in *Injector) armPartition(d int) {
 
 // setPartitioned flips domain d's partition state, keeping the count of
 // partitioned domains that lets Partitioned skip the domain lookup while
-// none is.
+// none is. A partition freezes each member's drop run where it stands; the
+// heal puts it back on the calendar with the periods it had left.
 func (in *Injector) setPartitioned(d int, on bool) {
-	if in.partitioned[d] == on {
+	if !in.markPartitioned(d, on) {
 		return
+	}
+	for id := d; id < len(in.runs); id += in.plan.Domains {
+		if on {
+			in.freeze(id)
+		} else {
+			in.thaw(id)
+		}
+	}
+}
+
+// markPartitioned sets domain d's partition flag and count, reporting
+// whether the state changed.
+func (in *Injector) markPartitioned(d int, on bool) bool {
+	if in.partitioned[d] == on {
+		return false
 	}
 	in.partitioned[d] = on
 	if on {
@@ -579,93 +621,7 @@ func (in *Injector) setPartitioned(d int, on bool) {
 	} else {
 		in.partitions--
 	}
-}
-
-// DropRefresh reports whether this control period's load-information
-// exchange from nodeID is lost. A partitioned domain loses every exchange
-// outright (no draw consumed — the wire is gone, not lossy); otherwise
-// each node consumes one Float64 from its private stream per period and
-// drops when it falls below DropRate, keeping the schedule independent of
-// how other nodes fare.
-//
-// The draws are taken in runs rather than one per call: drawRun reads a
-// node's stream ahead up to its next drop, and the periods after answer
-// from the run's counter. The answers, and the stream positions Snapshot
-// records, are the same as drawing once per call.
-func (in *Injector) DropRefresh(nodeID int) bool {
-	if nodeID >= 0 && nodeID < len(in.retired) && in.retired[nodeID] {
-		return false
-	}
-	if in.Partitioned(nodeID) {
-		return true
-	}
-	if in.plan.DropRate <= 0 || nodeID < 0 || nodeID >= len(in.runs) {
-		return false
-	}
-	r := &in.runs[nodeID]
-	if r.left == 0 {
-		src := in.dropSrc[nodeID]
-		r.from = src.Draws()
-		r.n, r.drop = drawRun(src, in.plan.DropRate)
-		r.left = r.n
-	}
-	r.left--
-	return r.left == 0 && r.drop
-}
-
-// maxDropRun caps how many periods one run reads ahead, so a tiny drop
-// rate cannot spin the draw loop.
-const maxDropRun = 64
-
-// dropRun is one node's drop decisions drawn ahead: n periods, read from
-// the stream position from, of which the last is a drop when drop is set
-// and all others keep their exchange. left counts the periods not yet
-// answered; zero means the next call draws a new run.
-type dropRun struct {
-	from    uint64
-	n, left uint8
-	drop    bool
-}
-
-// position reports how many values the node's stream would have yielded
-// had each answered period drawn its own Float64. Within a run every
-// answer but the last took exactly one value (drawRun ends a run at any
-// redraw), so only a finished run needs the stream's own count.
-func (r *dropRun) position(src *sim.CountingSource) uint64 {
-	if r.left == 0 {
-		return src.Draws()
-	}
-	return r.from + uint64(r.n-r.left)
-}
-
-// drawRun draws the Float64s of one run: up to and including the first
-// below rate, at most maxDropRun of them, and ending early after any
-// Float64 that took more than one value from src. It reports the run's
-// length and whether its last period drops.
-func drawRun(src rand.Source, rate float64) (n uint8, drop bool) {
-	for n < maxDropRun {
-		n++
-		f, values := nextFloat64(src)
-		if f < rate {
-			return n, true
-		}
-		if values > 1 {
-			break
-		}
-	}
-	return n, false
-}
-
-// nextFloat64 returns the value rand.(*Rand).Float64 would return on src,
-// and how many values it took from src: normally one, more when an Int63
-// so close to 1<<63 that the division rounds to 1.0 forces a redraw.
-func nextFloat64(src rand.Source) (f float64, values int) {
-	for {
-		values++
-		if f = float64(src.Int63()) / (1 << 63); f != 1 {
-			return f, values
-		}
-	}
+	return true
 }
 
 // AbortMigration decides one migration attempt's fate: whether it dies on

@@ -144,7 +144,7 @@ type faultLog struct {
 	aborts              []string
 }
 
-// replay drives an injector for simulated dur, sampling DropRefresh each
+// replay drives an injector for simulated dur, sampling Drops each
 // second and AbortMigration every 5 s, and returns the schedule.
 func replay(t *testing.T, plan Plan, nodes int, dur time.Duration) faultLog {
 	t.Helper()
@@ -163,8 +163,9 @@ func replay(t *testing.T, plan Plan, nodes int, dur time.Duration) faultLog {
 	}
 	in.Start()
 	tick, err := sim.NewTicker(e, time.Second, func() {
+		in.Drops()
 		for id := 0; id < nodes; id++ {
-			if in.DropRefresh(id) {
+			if in.Dropped(id) {
 				log.drops = append(log.drops, e.Now().String()+"#"+string(rune('a'+id)))
 			}
 		}
@@ -258,7 +259,7 @@ func TestInactiveDrawsAreStable(t *testing.T) {
 	if e.Len() != 0 {
 		t.Errorf("inactive plan armed %d events", e.Len())
 	}
-	if in.DropRefresh(0) || in.DropRefresh(99) {
+	if _, n := in.Drops(); n != 0 || in.Dropped(0) || in.Dropped(99) {
 		t.Error("inactive drop rate must never drop")
 	}
 	if abort, _ := in.AbortMigration(); abort {

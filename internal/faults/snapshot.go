@@ -38,8 +38,8 @@ func (in *Injector) Snapshot() *Snapshot {
 	for i, src := range in.crashSrc {
 		s.crashDraws[i] = src.Draws()
 	}
-	for i, src := range in.dropSrc {
-		s.dropDraws[i] = in.runs[i].position(src)
+	for i := range in.dropSrc {
+		s.dropDraws[i] = in.dropPosition(i)
 	}
 	if len(in.domainSrc) > 0 {
 		s.domainDraws = make([]uint64, len(in.domainSrc))
@@ -64,7 +64,6 @@ func (in *Injector) Restore(s *Snapshot) {
 	for i := 0; i < n; i++ {
 		in.crashSrc[i].Restore(s.crashDraws[i])
 		in.dropSrc[i].Restore(s.dropDraws[i])
-		in.runs[i] = dropRun{} // the next call redraws from the position
 	}
 	in.migSrc.Restore(s.migDraws)
 	for d := range s.domainDraws {
@@ -74,7 +73,8 @@ func (in *Injector) Restore(s *Snapshot) {
 	in.downBy = append(in.downBy[:0], s.downBy...)
 	in.retired = append(in.retired[:0], s.retired...)
 	for d, on := range s.partitioned {
-		in.setPartitioned(d, on)
+		in.markPartitioned(d, on)
 	}
+	in.restoreDrops()
 	in.started = s.started
 }

@@ -53,8 +53,9 @@ func newChaosHarness(t *testing.T, nodes int) *chaosHarness {
 	}
 	h.in = in
 	if _, err := sim.NewTicker(h.e, time.Second, func() {
+		in.Drops()
 		for id := 0; id < nodes; id++ {
-			if in.DropRefresh(id) {
+			if in.Dropped(id) {
 				h.log = append(h.log, fmt.Sprintf("%v drop %d", h.e.Now(), id))
 			}
 		}

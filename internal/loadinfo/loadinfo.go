@@ -49,6 +49,18 @@ type Entry struct {
 	UpdatedAt         time.Duration
 }
 
+// unseen marks a slot the next refresh must re-read whatever its node's
+// status version; no node reports it.
+const unseen = ^uint64(0)
+
+// readMark records what a slot was last refreshed from: the node, and its
+// status version (node.StatusVersion) at the time, or unseen once the board
+// itself has written the slot since.
+type readMark struct {
+	version uint64
+	node    *node.Node
+}
+
 // DefaultPeriod is the load collection/distribution interval.
 const DefaultPeriod = time.Second
 
@@ -90,6 +102,10 @@ type Board struct {
 	ioActive   []int32
 	cacheAvail []float64
 	updatedAt  []time.Duration
+
+	// seen[i] is what slot i was last refreshed from; a refresh re-reads
+	// only the slots whose node is another or has moved past it.
+	seen []readMark
 
 	// Per-partition selection candidates (entry index, -1 = none) and
 	// observability aggregates, recomputed only for dirty partitions.
@@ -143,6 +159,7 @@ func NewBoard(n int, period time.Duration) (*Board, error) {
 		ioActive:   make([]int32, n),
 		cacheAvail: make([]float64, n),
 		updatedAt:  make([]time.Duration, n),
+		seen:       make([]readMark, n),
 
 		destBest:         make([]int32, nparts),
 		resvBest:         make([]int32, nparts),
@@ -153,6 +170,9 @@ func NewBoard(n int, period time.Duration) (*Board, error) {
 
 		sumsDirty:  true,
 		dirtyParts: make([]uint64, (nparts+63)/64),
+	}
+	for i := range b.seen {
+		b.seen[i].version = unseen
 	}
 	for p := 0; p < nparts; p++ {
 		b.recomputeAggregates(int32(p))
@@ -190,20 +210,34 @@ func (b *Board) Refresh(now time.Duration, nodes []*node.Node) error {
 	return b.RefreshWith(now, nodes, nil)
 }
 
-// RefreshWith snapshots node statuses at virtual time now, skipping nodes
-// for which drop returns true: their load-information exchange was lost on
-// the wire, so the board keeps serving the previous (stale) vector — the
-// staleness failure mode a fault plan injects. A node-count mismatch
-// returns an error before any entry is touched; silently mis-indexing a
-// resized cluster would publish one node's load under another's ID.
-func (b *Board) RefreshWith(now time.Duration, nodes []*node.Node, drop func(id int) bool) error {
+// RefreshWith snapshots node statuses at virtual time now, skipping the
+// nodes whose ID bit is set in dropped (bit id&63 of word id>>6; nil drops
+// none): their load-information exchange was lost on the wire, so the
+// board keeps serving the previous (stale) vector — the staleness failure
+// mode a fault plan injects. A node-count mismatch returns an error before
+// any entry is touched; silently mis-indexing a resized cluster would
+// publish one node's load under another's ID.
+//
+// A slot last read from the same *node.Node, whose status version
+// (node.StatusVersion) has not moved since, and which the board has not
+// written since (NotePlacement, Publish, Retire, AddNode, Restore),
+// already holds what LoadStatus would return: it only takes the new
+// timestamp. So a period reads the status of the workstations that
+// changed, not of every one.
+func (b *Board) RefreshWith(now time.Duration, nodes []*node.Node, dropped []uint64) error {
 	if len(nodes) != b.n {
 		return fmt.Errorf("loadinfo: %d nodes, board sized for %d", len(nodes), b.n)
 	}
 	for i, n := range nodes {
-		if drop != nil && drop(n.ID()) {
+		if id := n.ID(); id>>6 < len(dropped) && dropped[id>>6]&(1<<uint(id&63)) != 0 {
 			continue
 		}
+		mark := readMark{n.StatusVersion(), n}
+		if mark == b.seen[i] {
+			b.updatedAt[i] = now
+			continue
+		}
+		b.seen[i] = mark
 		st := n.LoadStatus()
 		fl := packFlags(st)
 		changed := b.jobs[i] != int32(st.Jobs) ||
@@ -275,6 +309,7 @@ func (b *Board) Publish(i int, e Entry) error {
 	b.ioActive[i] = int32(e.IOActiveJobs)
 	b.cacheAvail[i] = e.CacheAvailability
 	b.updatedAt[i] = e.UpdatedAt
+	b.seen[i].version = unseen
 	b.sumsDirty = true
 	b.recomputePartition(int32(i / PartitionSize))
 	return nil
@@ -299,6 +334,7 @@ func (b *Board) AddNode(e Entry) (int, error) {
 	b.ioActive = append(b.ioActive, 0)
 	b.cacheAvail = append(b.cacheAvail, 0)
 	b.updatedAt = append(b.updatedAt, 0)
+	b.seen = append(b.seen, readMark{version: unseen})
 	if p := i / PartitionSize; p == len(b.destBest) {
 		b.destBest = append(b.destBest, -1)
 		b.resvBest = append(b.resvBest, -1)
@@ -330,6 +366,7 @@ func (b *Board) Retire(id int) error {
 	}
 	b.flags[id] |= flagRemoved
 	b.flags[id] &^= flagHasSlot
+	b.seen[id].version = unseen
 	b.live--
 	b.sumsDirty = true
 	b.recomputePartition(int32(id / PartitionSize))
@@ -380,6 +417,18 @@ func (b *Board) entryAt(i int) Entry {
 		CacheAvailability: b.cacheAvail[i],
 		UpdatedAt:         b.updatedAt[i],
 	}
+}
+
+// Admits reports whether slot id's entry is unreserved, has a free job
+// slot, is not memory-pressured and shows at least needMB of idle memory —
+// G-Loadsharing's test for keeping a submission on its home workstation —
+// reading the four fields in place rather than assembling an Entry. An
+// out-of-range id does not qualify.
+func (b *Board) Admits(id int, needMB float64) bool {
+	if id < 0 || id >= b.n {
+		return false
+	}
+	return b.flags[id]&(flagReserved|flagHasSlot|flagPressured) == flagHasSlot && b.idleMB[id] >= needMB
 }
 
 // Entry returns the snapshot for one node.
@@ -476,6 +525,7 @@ func (b *Board) NotePlacement(id int, demandMB float64) error {
 		return fmt.Errorf("loadinfo: node %d out of range", id)
 	}
 	b.jobs[id]++
+	b.seen[id].version = unseen
 	b.idleMB[id] -= demandMB
 	if b.idleMB[id] < 0 {
 		b.idleMB[id] = 0

@@ -323,3 +323,104 @@ func TestIOStatusPublished(t *testing.T) {
 		t.Errorf("CacheAvailability = %v, want squeezed in (0, 1)", e.CacheAvailability)
 	}
 }
+
+// TestRefreshWithSkips checks the ways a refresh leaves a slot's status
+// unread: a dropped exchange keeps the whole entry, timestamp included,
+// and a clean slot (its node's status version unchanged, the board not
+// written since) takes only the new timestamp. A node that changed while
+// its exchange was dropped, and a slot the board wrote itself, are read
+// at the next refresh.
+func TestRefreshWithSkips(t *testing.T) {
+	nodes := buildNodes(t, 2, 100, 4)
+	b, err := NewBoard(2, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refresh := func(now time.Duration, dropped []uint64) {
+		t.Helper()
+		if err := b.RefreshWith(now, nodes, dropped); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entry := func(id int) Entry {
+		t.Helper()
+		e, err := b.Entry(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	refresh(0, nil)
+	admit(t, nodes[0], 1, 40)
+	admit(t, nodes[1], 2, 40)
+	refresh(time.Second, []uint64{1 << 1}) // node 1's exchange is lost
+	if e := entry(0); e.Jobs != 1 || e.UpdatedAt != time.Second {
+		t.Errorf("refreshed entry %+v", e)
+	}
+	if e := entry(1); e.Jobs != 0 || e.UpdatedAt != 0 {
+		t.Errorf("dropped entry %+v, want the previous one", e)
+	}
+	refresh(2*time.Second, nil)
+	if e := entry(1); e.Jobs != 1 || e.UpdatedAt != 2*time.Second {
+		t.Errorf("entry after the dropped period %+v", e)
+	}
+	clean := entry(0)
+	refresh(3*time.Second, nil)
+	if e := entry(0); e.UpdatedAt != 3*time.Second || e.Jobs != clean.Jobs || e.IdleMB != clean.IdleMB {
+		t.Errorf("clean entry %+v, want %+v stamped 3s", e, clean)
+	}
+	if err := b.Publish(0, Entry{NodeID: 0, Jobs: 3}); err != nil {
+		t.Fatal(err)
+	}
+	refresh(4*time.Second, nil)
+	if e := entry(0); e.Jobs != 1 || e.IdleMB != 60 || !e.HasSlot {
+		t.Errorf("entry after a board write %+v, want the node's status", e)
+	}
+	// Fresh nodes of another capacity report the same status version as
+	// the fresh nodes the board first read; they are read, not trusted.
+	fresh, err := NewBoard(2, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, other := buildNodes(t, 2, 100, 4), buildNodes(t, 2, 300, 4)
+	if err := fresh.Refresh(0, first); err != nil {
+		t.Fatal(err)
+	}
+	if v, w := other[0].StatusVersion(), first[0].StatusVersion(); v != w {
+		t.Fatalf("fresh nodes report versions %d and %d", v, w)
+	}
+	if err := fresh.Refresh(time.Second, other); err != nil {
+		t.Fatal(err)
+	}
+	if e, err := fresh.Entry(0); err != nil || e.UserMB != 300 {
+		t.Errorf("entry after a refresh from other nodes %+v (%v), want their 300 MB", e, err)
+	}
+}
+
+// TestAdmits checks the in-place home test against the entry it reads.
+func TestAdmits(t *testing.T) {
+	b, err := NewBoard(3, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range []Entry{
+		{NodeID: 0, HasSlot: true, IdleMB: 50},
+		{NodeID: 1, HasSlot: true, IdleMB: 50, Reserved: true},
+		{NodeID: 2, HasSlot: true, IdleMB: 50, Pressured: true},
+	} {
+		if err := b.Publish(i, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		id   int
+		need float64
+		want bool
+	}{
+		{0, 50, true}, {0, 51, false}, {1, 10, false}, {2, 10, false}, {-1, 0, false}, {3, 0, false},
+	} {
+		if got := b.Admits(tc.id, tc.need); got != tc.want {
+			t.Errorf("Admits(%d, %v) = %v, want %v", tc.id, tc.need, got, tc.want)
+		}
+	}
+}

@@ -7,7 +7,8 @@ import "time"
 // storage, per-partition candidates and aggregates, both indexed heaps,
 // and the cached sums — so a restore rewinds the board in place,
 // truncating any slots and partitions added (runtime joins) after the
-// snapshot was taken.
+// snapshot was taken. The status versions each slot was read at are not
+// part of it: a restored board re-reads every slot at its next refresh.
 
 // Snapshot is a deep copy of a board's mutable state.
 type Snapshot struct {
@@ -104,6 +105,12 @@ func (b *Board) Restore(s *Snapshot) {
 	b.ioActive = append(b.ioActive[:0], s.ioActive...)
 	b.cacheAvail = append(b.cacheAvail[:0], s.cacheAvail...)
 	b.updatedAt = append(b.updatedAt[:0], s.updatedAt...)
+	// Every slot is re-read at the next refresh: the versions it was read
+	// at belong to the abandoned continuation.
+	b.seen = b.seen[:0]
+	for range s.nodeID {
+		b.seen = append(b.seen, readMark{version: unseen})
+	}
 
 	b.destBest = append(b.destBest[:0], s.destBest...)
 	b.resvBest = append(b.resvBest[:0], s.resvBest...)

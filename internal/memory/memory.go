@@ -102,6 +102,10 @@ type Manager struct {
 	// network RAM technique the paper's Section 2.3 points to for jobs
 	// bigger than any single workstation's memory.
 	remoteService time.Duration
+
+	// version counts the mutations of the state the load board reads (see
+	// Version).
+	version uint64
 }
 
 // NewManager constructs a memory manager, applying config defaults.
@@ -114,6 +118,13 @@ func NewManager(cfg Config) (*Manager, error) {
 
 // Config returns the validated configuration.
 func (m *Manager) Config() Config { return m.cfg }
+
+// Version reports a counter that every mutator bumps: Register, Update,
+// ReplayDemands, Remove, SetRemoteBacking and Restore. While it stands
+// still, every reading of the manager is unchanged, so the load board can
+// skip a workstation whose version has not moved since its last refresh.
+// It never goes backwards, not even across Restore.
+func (m *Manager) Version() uint64 { return m.version }
 
 // UserMB reports the memory available to user jobs.
 func (m *Manager) UserMB() float64 { return m.cfg.CapacityMB * m.cfg.UserFraction }
@@ -129,6 +140,7 @@ func (m *Manager) Register(jobID int, demandMB float64) error {
 	}
 	m.demands = append(m.demands, demandEntry{id: jobID, mb: demandMB})
 	m.total += demandMB
+	m.version++
 	return nil
 }
 
@@ -157,6 +169,7 @@ func (m *Manager) Update(jobID int, demandMB float64) error {
 	if m.total < 0 {
 		m.total = 0
 	}
+	m.version++
 	return nil
 }
 
@@ -181,6 +194,7 @@ func (m *Manager) ReplayDemands(ids []int, demands []float64, total float64) err
 		total = 0
 	}
 	m.total = total
+	m.version++
 	return nil
 }
 
@@ -195,6 +209,7 @@ func (m *Manager) Remove(jobID int) error {
 	if m.total < 0 {
 		m.total = 0
 	}
+	m.version++
 	return nil
 }
 
@@ -359,6 +374,7 @@ func (m *Manager) SetRemoteBacking(service time.Duration) {
 		service = 0
 	}
 	m.remoteService = service
+	m.version++
 }
 
 // RemoteBacked reports whether faults are currently served by network RAM.
@@ -393,6 +409,7 @@ func (m *Manager) Restore(s Snapshot) {
 	m.demands = append(m.demands[:0], s.demands...)
 	m.total = s.total
 	m.remoteService = s.remoteService
+	m.version++
 }
 
 // SoloStallPerCPUSecond reports the stall a single job of the given demand

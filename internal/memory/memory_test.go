@@ -2,6 +2,7 @@ package memory
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -265,5 +266,103 @@ func TestRemoteBacking(t *testing.T) {
 	m.SetRemoteBacking(-time.Second)
 	if m.RemoteBacked() || m.StallPerCPUSecond() != disk {
 		t.Error("clearing remote backing did not restore disk service")
+	}
+}
+
+// versionMutators lists every exported Manager method that may change what
+// the manager reports. The load board skips a workstation whose status
+// version has not moved since its last refresh, so each must bump Version.
+var versionMutators = []struct {
+	method string
+	act    func(m *Manager) error
+}{
+	{"Register", func(m *Manager) error { return m.Register(2, 5) }},
+	{"Update", func(m *Manager) error { return m.Update(1, 20) }},
+	{"ReplayDemands", func(m *Manager) error { return m.ReplayDemands([]int{1}, []float64{30}, 30) }},
+	{"Remove", func(m *Manager) error { return m.Remove(1) }},
+	{"SetRemoteBacking", func(m *Manager) error { m.SetRemoteBacking(time.Millisecond); return nil }},
+	{"Restore", func(m *Manager) error { m.Restore(m.Snapshot()); return nil }},
+}
+
+// versionNeutral lists every other exported Manager method: accessors and
+// the read-only Replay cursor.
+var versionNeutral = []string{
+	"Config", "DemandMB", "FaultRate", "FaultRateAt", "IdleAtMB", "IdleMB",
+	"Jobs", "Overcommit", "Pressured", "PressuredAt", "RemoteBacked",
+	"Replay", "Snapshot", "SoloStallPerCPUSecond", "StallPerCPUSecond",
+	"StallPerCPUSecondAt", "UnbackedFraction", "UserMB", "Version",
+}
+
+// TestVersionMovesOnEveryMutator drives each mutator once, after
+// registering job 1 at 10 MB, and requires the version to move.
+func TestVersionMovesOnEveryMutator(t *testing.T) {
+	for _, tc := range versionMutators {
+		m := newMgr(t, 128)
+		if err := m.Register(1, 10); err != nil {
+			t.Fatal(err)
+		}
+		v := m.Version()
+		if err := tc.act(m); err != nil {
+			t.Fatalf("%s: %v", tc.method, err)
+		}
+		if m.Version() == v {
+			t.Errorf("%s left the version at %d", tc.method, v)
+		}
+	}
+}
+
+// TestVersionNeutralMethods calls every version-neutral method, with zero
+// arguments, on a pressured manager holding job 1, and requires the
+// version to stand still.
+func TestVersionNeutralMethods(t *testing.T) {
+	m := newMgr(t, 128)
+	if err := m.Register(1, 200); err != nil {
+		t.Fatal(err)
+	}
+	v := m.Version()
+	rv := reflect.ValueOf(m)
+	for _, name := range versionNeutral {
+		fn := rv.MethodByName(name)
+		if !fn.IsValid() {
+			t.Errorf("versionNeutral names %s, which *Manager does not have", name)
+			continue
+		}
+		args := make([]reflect.Value, fn.Type().NumIn())
+		for i := range args {
+			args[i] = reflect.Zero(fn.Type().In(i))
+		}
+		fn.Call(args)
+		if got := m.Version(); got != v {
+			t.Errorf("%s moved the version from %d to %d", name, v, got)
+			v = got
+		}
+	}
+}
+
+// TestVersionMethodsClassified fails when an exported Manager method is
+// listed as neither a mutator nor version-neutral: a new method must be
+// put in one of the two lists, and, if it may change what the manager
+// reports, bump the version.
+func TestVersionMethodsClassified(t *testing.T) {
+	known := make(map[string]int)
+	for _, tc := range versionMutators {
+		known[tc.method]++
+	}
+	for _, name := range versionNeutral {
+		known[name]++
+	}
+	typ := reflect.TypeOf((*Manager)(nil))
+	for i := 0; i < typ.NumMethod(); i++ {
+		switch name := typ.Method(i).Name; known[name] {
+		case 0:
+			t.Errorf("(*Manager).%s is neither a mutator nor version-neutral", name)
+		case 1:
+		default:
+			t.Errorf("(*Manager).%s is listed more than once", name)
+		}
+		delete(known, typ.Method(i).Name)
+	}
+	for name := range known {
+		t.Errorf("%s is listed but *Manager has no such method", name)
 	}
 }

@@ -159,6 +159,10 @@ type Node struct {
 	// consume the slice before the node's next Tick, so reusing one
 	// backing array keeps completion-bearing quanta allocation-free.
 	doneScratch []*job.Job
+
+	// version counts the node's own status mutations; StatusVersion adds
+	// the memory manager's.
+	version uint64
 }
 
 // New constructs a workstation.
@@ -242,6 +246,16 @@ func (n *Node) removeResidentAt(idx int) {
 	n.notifyResidency()
 }
 
+// StatusVersion reports a counter that moves whenever LoadStatus may have
+// changed: the node bumps it in Admit, AttachMigrated, Detach,
+// ExpectMigration, CancelExpected, SetReserved, Crash, Recover,
+// StartDrain, Remove, Restore, and in Tick and Fold on a node with
+// residents, and the memory manager's own version (memory.Manager.Version)
+// is added in, so a demand changed through Memory() moves it too. It never
+// goes backwards. The load board compares it with the value it saw at its
+// last refresh and re-reads only the workstations whose version moved.
+func (n *Node) StatusVersion() uint64 { return n.version + n.mem.Version() }
+
 // ID reports the workstation's identifier.
 func (n *Node) ID() int { return n.cfg.ID }
 
@@ -295,6 +309,7 @@ func (n *Node) ExpectMigration(jobID int, demandMB float64) error {
 	if _, ok := n.incoming[jobID]; ok {
 		return fmt.Errorf("node %d: job %d already expected", n.cfg.ID, jobID)
 	}
+	n.version++
 	if err := n.mem.Register(jobID, demandMB); err != nil {
 		return err
 	}
@@ -309,6 +324,7 @@ func (n *Node) CancelExpected(jobID int) error {
 	if _, ok := n.incoming[jobID]; !ok {
 		return fmt.Errorf("node %d: job %d not expected", n.cfg.ID, jobID)
 	}
+	n.version++
 	delete(n.incoming, jobID)
 	err := n.mem.Remove(jobID)
 	n.notifyPressure()
@@ -336,6 +352,7 @@ func (n *Node) Reserved() bool { return n.reserved }
 // re-routed by the stranded-migration retry loop if the node has since
 // filled up.
 func (n *Node) SetReserved(v bool) {
+	n.version++
 	if n.reserved && !v {
 		ids := make([]int, 0, len(n.incoming))
 		for id := range n.incoming {
@@ -364,6 +381,7 @@ func (n *Node) Crash(now time.Duration) ([]*job.Job, error) {
 	if n.down {
 		return nil, fmt.Errorf("node %d: crash while already down", n.cfg.ID)
 	}
+	n.version++
 	lost := make([]*job.Job, len(n.jobs))
 	copy(lost, n.jobs)
 	for i, j := range lost {
@@ -407,6 +425,7 @@ func (n *Node) Recover() error {
 	if !n.down {
 		return fmt.Errorf("node %d: recover while up", n.cfg.ID)
 	}
+	n.version++
 	n.down = false
 	return nil
 }
@@ -419,6 +438,7 @@ func (n *Node) StartDrain() error {
 	if n.removed {
 		return fmt.Errorf("node %d: drain after removal", n.cfg.ID)
 	}
+	n.version++
 	n.draining = true
 	return nil
 }
@@ -439,6 +459,7 @@ func (n *Node) Remove() error {
 	if n.reserved {
 		return fmt.Errorf("node %d: remove while reserved", n.cfg.ID)
 	}
+	n.version++
 	n.removed = true
 	n.draining = false
 	return nil
@@ -545,6 +566,7 @@ func (n *Node) Admit(j *job.Job, now time.Duration) error {
 	if err := j.Start(n.cfg.ID, now); err != nil {
 		return err
 	}
+	n.version++
 	d := j.MemoryDemandMB()
 	if err := n.mem.Register(j.ID, d); err != nil {
 		return err
@@ -575,6 +597,7 @@ func (n *Node) AttachMigrated(j *job.Job, cost time.Duration, special bool, now 
 	if err := j.CompleteMigration(n.cfg.ID, cost); err != nil {
 		return err
 	}
+	n.version++
 	d := j.MemoryDemandMB()
 	if held {
 		delete(n.incoming, j.ID)
@@ -622,6 +645,7 @@ func (n *Node) Detach(j *job.Job, now time.Duration) error {
 	if err := j.BeginMigration(now); err != nil {
 		return err
 	}
+	n.version++
 	if err := n.mem.Remove(j.ID); err != nil {
 		return err
 	}
@@ -707,6 +731,7 @@ func (n *Node) Snapshot() Snapshot {
 // cluster restores its activity and pressure bitmasks wholesale alongside
 // the nodes.
 func (n *Node) Restore(s Snapshot) {
+	n.version++
 	n.mem.Restore(s.mem)
 	// A cursor whose job stays at its index still describes that job's
 	// profile; the rewound service rebuilds it if it left the cursor.
@@ -754,6 +779,7 @@ func (n *Node) Tick(dt time.Duration, now time.Duration) ([]*job.Job, error) {
 	if len(n.jobs) == 0 {
 		return nil, nil
 	}
+	n.version++
 	q := n.newQuantum(dt, n.mem.StallPerCPUSecond(), 1-n.CacheAvailability())
 	lo := now - dt
 	done := n.doneScratch[:0]
@@ -1016,6 +1042,7 @@ func (n *Node) Fold(dt, now time.Duration, k int64) error {
 	if len(n.jobs) == 0 || k <= 0 {
 		return nil
 	}
+	n.version++
 	// Only the first tick can credit partial residency: it leaves every
 	// job covered up to now. steady reports that every job sits inside a
 	// flat cursor, so a run can fold.

@@ -38,11 +38,6 @@ type GLoadSharing struct {
 	// one workstation per control period.
 	MigrationsPerControl int
 
-	// PressureOvercommit is the memory threshold as an overcommit
-	// fraction: migration is triggered only when demand exceeds user
-	// memory by this factor ("oversized to a certain degree").
-	PressureOvercommit float64
-
 	// NodeCooldown spaces pressure-driven migrations out of the same
 	// workstation, so one detection episode triggers one migration
 	// rather than one per control period.
@@ -75,9 +70,12 @@ const (
 	// placement can later grow into the "unsuitable job submission" that
 	// causes the blocking problem.
 	DefaultAdmitFloorFrac = 1.0 / 6
-	// DefaultPressureOvercommit tolerates 5% overcommit before treating
-	// page faults as a migration trigger.
-	DefaultPressureOvercommit = 1.05
+	// PressureOvercommit is the memory threshold as an overcommit
+	// fraction: migration is triggered only when demand exceeds user
+	// memory by this factor ("oversized to a certain degree"). It
+	// tolerates 5% overcommit before treating page faults as a migration
+	// trigger.
+	PressureOvercommit = 1.05
 	// DefaultNodeCooldown spaces migrations out of one workstation.
 	DefaultNodeCooldown = 10 * time.Second
 	// DefaultMaxJobMigrations bounds per-job migration count.
@@ -89,7 +87,6 @@ func NewGLoadSharing() *GLoadSharing {
 	return &GLoadSharing{
 		AdmitFloorFrac:       DefaultAdmitFloorFrac,
 		MigrationsPerControl: 1,
-		PressureOvercommit:   DefaultPressureOvercommit,
 		NodeCooldown:         DefaultNodeCooldown,
 		MaxJobMigrations:     DefaultMaxJobMigrations,
 		name:                 "G-Loadsharing",
@@ -119,10 +116,8 @@ func (g *GLoadSharing) Place(c *cluster.Cluster, j *job.Job, home int) (int, boo
 	// only admission signal is whether the workstation has idle memory
 	// space, read as at least the floor fraction of user memory.
 	need := g.AdmitFloorFrac * board.MeanUserMB()
-	if he, err := board.Entry(home); err == nil {
-		if !he.Reserved && he.HasSlot && !he.Pressured && he.IdleMB >= need {
-			return home, false, true
-		}
+	if board.Admits(home, need) {
+		return home, false, true
 	}
 	if id, ok := board.BestDestinationExcluding(need, home); ok {
 		return id, true, true
@@ -135,14 +130,18 @@ func (g *GLoadSharing) Place(c *cluster.Cluster, j *job.Job, home int) (int, boo
 // job is moved to a lightly loaded workstation with sufficient idle memory
 // and a free job slot, if one exists. When none exists, the blocking
 // problem has been detected and the OnBlocked hook fires.
+//
+// PressureOvercommit is above 1, so only a pressured workstation can reach
+// it (demand/user > 1 implies demand > user): the walk visits the
+// cluster's pressured set alone, asking for the next member after each
+// visit, so a workstation a migration pushes into pressure further on is
+// still visited in ID order, as a scan over every node would.
 func (g *GLoadSharing) OnControl(c *cluster.Cluster, now time.Duration) {
 	board := c.Board()
-	overcommit := g.PressureOvercommit
-	if overcommit < 1 {
-		overcommit = 1
-	}
-	for _, n := range c.Nodes() {
-		if n.Reserved() || n.Memory().Overcommit() < overcommit {
+	nodes := c.Nodes()
+	for i, ok := c.NextPressured(0); ok; i, ok = c.NextPressured(i + 1) {
+		n := nodes[i]
+		if n.Reserved() || n.Memory().Overcommit() < PressureOvercommit {
 			continue
 		}
 		if last, ok := g.lastMigration[n.ID()]; ok && now-last < g.NodeCooldown {
@@ -152,7 +151,7 @@ func (g *GLoadSharing) OnControl(c *cluster.Cluster, now time.Duration) {
 		if budget <= 0 {
 			budget = 1
 		}
-		for moved := 0; moved < budget && n.Memory().Overcommit() >= overcommit; moved++ {
+		for moved := 0; moved < budget && n.Memory().Overcommit() >= PressureOvercommit; moved++ {
 			victim := g.migratable(n)
 			if victim == nil {
 				break
