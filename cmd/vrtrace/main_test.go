@@ -46,6 +46,20 @@ func TestGenerateCustom(t *testing.T) {
 	}
 }
 
+// TestGenerateFarTail asks for submit times drawn from a lognormal whose
+// median lies far beyond the trace's window: every draw is clamped to the
+// window, so generation succeeds.
+func TestGenerateFarTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tail.json")
+	args := []string{"-jobs", "5", "-duration", "10m", "-sigma", "100", "-mu", "200", "-o", path}
+	if err := run(args); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-inspect", path}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestInspectReportsPhasePercentiles(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.json")
 	if err := run([]string{"-group", "1", "-level", "2", "-o", path}); err != nil {

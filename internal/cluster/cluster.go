@@ -1247,12 +1247,23 @@ func (c *Cluster) quantumTick() error {
 	} else {
 		// Iterate a snapshot of each word: completions clear bits and
 		// policy callbacks may set them mid-pass, and a node activated
-		// at this instant needs no tick (its accounting starts now).
+		// at this instant needs no tick (its accounting starts now). A
+		// node none of whose jobs can complete in this quantum folds it:
+		// no callback can follow, and the fold resumes where the node's
+		// last one ended, which a Tick would void.
+		q := c.cfg.Quantum
 		for wi, w := range c.active {
 			for w != 0 {
 				id := wi<<6 + bits.TrailingZeros64(w)
 				w &= w - 1
-				if err := c.tickNode(c.nodes[id], now); err != nil {
+				n := c.nodes[id]
+				if n.CompletionFloor(q, 1) >= 1 {
+					if err := n.Fold(q, now, 1); err != nil {
+						return err
+					}
+					continue
+				}
+				if err := c.tickNode(n, now); err != nil {
 					return err
 				}
 			}

@@ -257,11 +257,15 @@ func (m *Manager) PressuredAt(total float64) bool { return total > m.UserMB() }
 // 1 - user/total when pressured, else 0.
 func (m *Manager) UnbackedFraction() float64 { return m.unbackedAt(m.total) }
 
-func (m *Manager) unbackedAt(total float64) float64 {
-	if !m.PressuredAt(total) || total <= 0 {
+func (m *Manager) unbackedAt(total float64) float64 { return unbacked(m.UserMB(), total) }
+
+// unbacked is the unbacked fraction of a demand total against user memory
+// user: 1 - user/total when the total pages, else 0.
+func unbacked(user, total float64) float64 {
+	if !(total > user) || total <= 0 {
 		return 0
 	}
-	return 1 - m.UserMB()/total
+	return 1 - user/total
 }
 
 // FaultRate reports faults per CPU-second experienced by each resident job
@@ -273,7 +277,11 @@ func (m *Manager) FaultRate() float64 { return m.FaultRateAt(m.total) }
 // FaultRateAt reports the fault rate a hypothetical demand total would
 // produce, via the identical arithmetic as FaultRate.
 func (m *Manager) FaultRateAt(total float64) float64 {
-	u := m.unbackedAt(total)
+	return faultRate(m.cfg.FaultScale, m.unbackedAt(total))
+}
+
+// faultRate is the fault rate at unbacked fraction u for fault scale k.
+func faultRate(k, u float64) float64 {
 	if u <= 0 {
 		return 0
 	}
@@ -281,7 +289,7 @@ func (m *Manager) FaultRateAt(total float64) float64 {
 	if u > uCap {
 		u = uCap
 	}
-	return m.cfg.FaultScale * u / (1 - u)
+	return k * u / (1 - u)
 }
 
 // StallPerCPUSecond reports seconds of page-fault stall incurred per second
@@ -301,13 +309,16 @@ func (m *Manager) StallPerCPUSecondAt(total float64) float64 {
 // trajectory a sequence of Update calls would produce — without mutating
 // the manager — and reports the pressure, fault rate and stall dense
 // ticking would observe at each point. Because the cursor evaluates
-// through the same *At methods the zero-argument accessors delegate to,
-// and Step reproduces Update's accumulate-then-clamp exactly, every float
-// the replay yields is bit-identical to the one dense ticking would have
-// computed. Commit the final per-job demands and total with ReplayDemands.
+// through the same arithmetic as the *At methods the zero-argument
+// accessors delegate to (PressuredAt's comparison, and the unbacked and
+// faultRate helpers behind FaultRateAt), and Step reproduces Update's
+// accumulate-then-clamp exactly, every float the replay yields is
+// bit-identical to the one dense ticking would have computed. Commit the
+// final per-job demands and total with ReplayDemands.
 type Replay struct {
 	m     *Manager
 	user  float64 // UserMB, fixed for the cursor's life
+	scale float64 // the fault scale
 	total float64
 
 	// The pressure terms at total, both zero while it is not pressured.
@@ -319,14 +330,14 @@ type Replay struct {
 
 // Replay returns a cursor positioned at the manager's current total.
 func (m *Manager) Replay() Replay {
-	r := Replay{m: m, user: m.UserMB(), total: m.total}
+	r := Replay{m: m, user: m.UserMB(), scale: m.cfg.FaultScale, total: m.total}
 	r.eval()
 	return r
 }
 
 // eval clamps the cursor's total at zero, as Update does, and evaluates the
-// pressure terms there: PressuredAt's comparison against the cached user
-// memory, and FaultRateAt itself.
+// pressure terms there: PressuredAt's comparison and FaultRateAt's
+// arithmetic, against the user memory and fault scale read once.
 func (r *Replay) eval() {
 	if r.total < 0 {
 		r.total = 0
@@ -334,7 +345,7 @@ func (r *Replay) eval() {
 	r.pressured = r.total > r.user
 	r.rate = 0
 	if r.pressured {
-		r.rate = r.m.FaultRateAt(r.total)
+		r.rate = faultRate(r.scale, unbacked(r.user, r.total))
 		if r.fault == 0 {
 			r.fault = r.m.faultService().Seconds()
 		}

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -383,6 +384,30 @@ func TestFoldAfterRewind(t *testing.T) {
 	requireSameState(t, twin, rewound, "dense ticks after the rewind")
 }
 
+// TestFoldAcrossQuantumChange folds a stretch, then one at twice the
+// quantum: the second must not resume the first's quantum and charges.
+func TestFoldAcrossQuantumChange(t *testing.T) {
+	dense, folded := pressuredPair(t)
+	q := 10 * time.Millisecond
+	now := dense.covered[0] + q
+	const k = 40
+	tickDense(t, dense, q, now, k)
+	if err := folded.Fold(q, now, k); err != nil {
+		t.Fatal(err)
+	}
+	requireSameState(t, dense, folded, "after the first stretch")
+	q2 := 2 * q
+	now += (k-1)*q + q2
+	if floor := dense.CompletionFloor(q2, k); floor != k {
+		t.Fatalf("completion floor %d below the stretch %d", floor, k)
+	}
+	tickDense(t, dense, q2, now, k)
+	if err := folded.Fold(q2, now, k); err != nil {
+		t.Fatal(err)
+	}
+	requireSameState(t, dense, folded, "after the stretch at twice the quantum")
+}
+
 // TestFoldRejectsBadQuantum mirrors Tick's quantum validation.
 func TestFoldRejectsBadQuantum(t *testing.T) {
 	n := newNode(t, 100, 4)
@@ -441,7 +466,8 @@ func TestCompletionFloorEarlyExitAtBoundary(t *testing.T) {
 // ramp, and partial residency in the first quantum.
 func FuzzFoldMatchesTick(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dense, folded, q, now, k := drawStretch(t, data)
+		d := draw(data)
+		dense, folded, q, now, k := drawStretch(t, &d)
 		if k == 0 {
 			return
 		}
@@ -453,6 +479,100 @@ func FuzzFoldMatchesTick(f *testing.F) {
 	})
 }
 
+// FuzzFoldResume checks the fold's resume: one drawn stretch is split into
+// two to four Folds, each starting where the last ended, so a Fold resumes
+// from the state the last one left unless a status mutator ran in between.
+// Between some of them a drawn mutator runs on both twins: a reservation
+// flip, a migration hold placed or cancelled, a change of remote backing,
+// the admission of a new job, or a dense Tick. The twin that ticks densely
+// throughout must be left in the same state after every part. The input's
+// first 20 bytes draw the split and the mutators, the rest the stretch as
+// in FuzzFoldMatchesTick; testdata/fuzz holds a seed per mutator.
+func FuzzFoldResume(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := draw(data)
+		parts := 2 + d.n(3)
+		var cuts [3]struct{ frac, op, arg int }
+		for i := range cuts {
+			cuts[i].frac, cuts[i].op, cuts[i].arg = d.n(100), d.n(6), d.n(1<<16)
+		}
+		dense, folded, q, now, k := drawStretch(t, &d)
+		twins := []*Node{dense, folded}
+		for part := 0; k > 0; part++ {
+			kp := k
+			if part < parts-1 {
+				kp = min(k, 1+k*int64(cuts[part].frac)/100)
+			}
+			tickDense(t, dense, q, now, kp)
+			if err := folded.Fold(q, now, kp); err != nil {
+				t.Fatal(err)
+			}
+			now += time.Duration(kp) * q
+			k -= kp
+			requireSameState(t, dense, folded, fmt.Sprintf("after part %d", part+1))
+			if part >= parts-1 || k == 0 {
+				continue
+			}
+			c := cuts[part]
+			var errs [2]error
+			for i, n := range twins {
+				errs[i] = mutate(t, n, c.op, c.arg, part, q, now)
+			}
+			if (errs[0] == nil) != (errs[1] == nil) {
+				t.Fatalf("mutator %d after part %d: dense %v, folded %v", c.op, part+1, errs[0], errs[1])
+			}
+			if c.op == 5 { // the Tick took the quantum due at now
+				now += q
+				k--
+			}
+			requireSameState(t, dense, folded, fmt.Sprintf("after mutator %d", c.op))
+			// An admitted job can complete before the rest of the stretch.
+			k = dense.CompletionFloor(q, k)
+		}
+	})
+}
+
+// mutate applies status mutator op with argument arg to n between the
+// parts of a resumed stretch; now is the instant the next tick is due.
+func mutate(t *testing.T, n *Node, op, arg, part int, q, now time.Duration) error {
+	t.Helper()
+	switch op {
+	case 1:
+		n.SetReserved(!n.Reserved())
+	case 2:
+		if n.ExpectedCount() > 0 {
+			for id := 200; id < 200+part; id++ {
+				if _, held := n.incoming[id]; held {
+					return n.CancelExpected(id)
+				}
+			}
+		}
+		return n.ExpectMigration(200+part, float64(arg%80))
+	case 3:
+		n.Memory().SetRemoteBacking(time.Duration(arg%3) * time.Millisecond)
+	case 4:
+		// Admitted inside the quantum the next tick closes, or at its end.
+		j, err := job.New(100+part, "admit", time.Duration(1+arg%120)*500*time.Millisecond, []job.Phase{
+			{EndFrac: 0.5, StartMB: float64(arg % 80), EndMB: float64(arg / 80 % 80)},
+			{EndFrac: 1, StartMB: float64(arg / 80 % 80), EndMB: float64(arg / 80 % 80)},
+		}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if arg%2 == 1 {
+			j.SetIORate(float64(1 + arg/2%8))
+		}
+		return n.Admit(j, now-q+time.Duration(arg%(int(q/time.Microsecond)+1))*time.Microsecond)
+	case 5:
+		done, err := n.Tick(q, now)
+		if len(done) > 0 {
+			t.Fatal("a job completed inside the stretch")
+		}
+		return err
+	}
+	return nil
+}
+
 // drawStretch builds twin nodes from fuzz input and picks the stretch to
 // advance them by: the k quanta from the tick due at now. The draw covers
 // job phases (flat and ramping, up and down), I/O rates, admission offsets
@@ -460,8 +580,7 @@ func FuzzFoldMatchesTick(f *testing.F) {
 // arrivals that land with progress, memory
 // capacity around the line the jobs' summed demand crosses, CPU speed,
 // remote backing, the quantum, and k up to the nodes' CompletionFloor.
-func drawStretch(t *testing.T, data []byte) (dense, folded *Node, q, now time.Duration, k int64) {
-	d := draw(data)
+func drawStretch(t *testing.T, d *draw) (dense, folded *Node, q, now time.Duration, k int64) {
 	q = time.Duration(1+d.n(20)) * time.Millisecond
 	type spec struct {
 		cpu    time.Duration

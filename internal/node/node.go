@@ -7,6 +7,7 @@ package node
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -149,11 +150,22 @@ type Node struct {
 	cpuDelivered time.Duration
 	ioStall      time.Duration // cumulative buffer-cache-miss stall
 
-	// fold is Fold's per-job scratch and foldIDs its demand-commit ID list.
-	// Both are rebuilt by every call and never outlive it, so they are
-	// deliberately excluded from Snapshot/Restore.
+	// fold is Fold's per-job state and foldEnd where the last Fold left it;
+	// foldIDs is the demand-commit ID list. A Fold that starts where the
+	// last one ended resumes from them, and any status mutation voids them
+	// (foldEnd.version), so they are deliberately excluded from
+	// Snapshot/Restore.
 	fold    []foldJob
+	foldEnd foldEnd
 	foldIDs []int
+
+	// ceiling is progressCeiling's last result, cpu, for quantum length dt
+	// and jobs residents; it derives from the configuration alone.
+	ceiling struct {
+		dt   time.Duration
+		jobs int
+		cpu  time.Duration
+	}
 
 	// doneScratch backs Tick's completed-jobs return value. Callers
 	// consume the slice before the node's next Tick, so reusing one
@@ -286,6 +298,12 @@ func (n *Node) Jobs() []*job.Job {
 // NumJobs it lets per-control scans iterate residents without the
 // defensive copy Jobs makes.
 func (n *Node) JobAt(i int) *job.Job { return n.jobs[i] }
+
+// DemandAt reports the i-th resident job's memory demand as registered with
+// the memory manager. It equals JobAt(i).MemoryDemandMB(), since every tick
+// and fold refreshes the registration as the job progresses, but reads it
+// without rescanning the job's phase profile.
+func (n *Node) DemandAt(i int) float64 { return n.demand[i] }
 
 // HasSlot reports whether a job slot is free (CPU threshold not reached),
 // counting slots held for in-flight migrations. A crashed workstation has
@@ -663,8 +681,8 @@ func (n *Node) Detach(j *job.Job, now time.Duration) error {
 func (n *Node) MostMemoryIntensiveJob() *job.Job {
 	var best *job.Job
 	bestDemand := -1.0
-	for _, j := range n.jobs {
-		if d := j.MemoryDemandMB(); d > bestDemand {
+	for i, j := range n.jobs {
+		if d := n.demand[i]; d > bestDemand {
 			best = j
 			bestDemand = d
 		}
@@ -794,7 +812,7 @@ func (n *Node) Tick(dt time.Duration, now time.Duration) ([]*job.Job, error) {
 		if resid <= 0 {
 			continue
 		}
-		c := q.charge(j, resid, j.Remaining())
+		c := q.charge(n.ioPerMiss(j), resid, j.Remaining())
 		finished, err := j.Account(c.cpu, c.page, c.queue, now)
 		if err != nil {
 			return nil, err
@@ -883,7 +901,6 @@ type quantum struct {
 	exec      time.Duration
 	execSec   float64
 	v         float64 // speed factor
-	diskMBps  float64
 	stall     float64 // wall seconds of paging per CPU second
 	denomBase float64
 	cacheMiss float64 // share of the I/O-active jobs' cache need not held
@@ -894,8 +911,18 @@ type quantum struct {
 func (n *Node) newQuantum(dt time.Duration, stall, miss float64) quantum {
 	exec := n.execShare(dt)
 	v := n.SpeedFactor()
-	return quantum{exec: exec, execSec: exec.Seconds(), v: v, diskMBps: n.cfg.DiskMBps,
+	return quantum{exec: exec, execSec: exec.Seconds(), v: v,
 		stall: stall, denomBase: 1/v + stall, cacheMiss: miss}
+}
+
+// ioPerMiss is job j's buffer-cache disk stall per CPU second at a full
+// cache miss: its I/O rate over the disk bandwidth, or zero for a job
+// without I/O.
+func (n *Node) ioPerMiss(j *job.Job) float64 {
+	if rate := j.IORate(); rate > 0 && n.cfg.DiskMBps > 0 {
+		return rate / n.cfg.DiskMBps
+	}
+	return 0
 }
 
 // setPressure moves the quantum to a new stall and cache-miss share and
@@ -913,11 +940,12 @@ func (q *quantum) setPressure(stall, miss float64) (moved bool) {
 // runnable but not executing.
 type charge struct{ cpu, page, queue, io time.Duration }
 
-// charge computes job j's quantum, given resid of residency within it and
-// rem of outstanding CPU demand. The fast paths skip a float operation
-// only where IEEE 754 makes it an exact identity (x/1 == x, x+0 == x for
-// x >= 0), so results stay bit-identical to the straight-line arithmetic.
-func (q *quantum) charge(j *job.Job, resid, rem time.Duration) charge {
+// charge computes a job's quantum, given its ioPerMiss, resid of residency
+// within the quantum and rem of outstanding CPU demand. The fast paths skip
+// a float operation only where IEEE 754 makes it an exact identity (x/1 ==
+// x, x+0 == x for x >= 0), so results stay bit-identical to the
+// straight-line arithmetic.
+func (q *quantum) charge(ioPer float64, resid, rem time.Duration) charge {
 	execSec := q.execSec
 	if q.exec > resid {
 		execSec = resid.Seconds()
@@ -926,8 +954,8 @@ func (q *quantum) charge(j *job.Job, resid, rem time.Duration) charge {
 	// paging (cpu*stall), and buffer-cache-miss disk time (cpu*ioStall):
 	// cpu = w / (1/v + stall + ioStall).
 	ioStall := 0.0
-	if rate := j.IORate(); rate > 0 && q.cacheMiss > 0 && q.diskMBps > 0 {
-		ioStall = rate / q.diskMBps * q.cacheMiss
+	if ioPer > 0 && q.cacheMiss > 0 {
+		ioStall = ioPer * q.cacheMiss
 	}
 	cpuSec := execSec
 	if denom := q.denomBase + ioStall; denom != 1 {
@@ -968,51 +996,73 @@ func (n *Node) CompletionFloor(dt time.Duration, kMax int64) int64 {
 	if len(n.jobs) == 0 || dt <= 0 {
 		return kMax
 	}
-	exec := n.execShare(dt)
-	if exec == 0 {
+	maxCPU := n.progressCeiling(dt)
+	if maxCPU == 0 {
 		return kMax // no CPU progress possible, so no completions either
 	}
-	maxCPU := time.Duration(exec.Seconds()*n.SpeedFactor()*float64(time.Second)) + 1
-	k := kMax
+	// (remaining-1)/maxCPU rounds down monotonically, so the job nearest
+	// completion sets the floor and one division serves the node.
+	least := time.Duration(math.MaxInt64)
 	for _, j := range n.jobs {
-		kj := int64((j.Remaining() - 1) / maxCPU)
-		if kj == 0 {
+		rem := j.Remaining() - 1
+		if rem < maxCPU {
 			// A resident job could complete on the very next tick even at
 			// maximal per-quantum progress: no stretch exists, and the
 			// remaining residents need not be scanned.
 			return 0
 		}
-		k = min(k, kj)
+		least = min(least, rem)
 	}
-	return k
+	if kMax <= 1 {
+		return kMax
+	}
+	return min(kMax, int64(least/maxCPU))
 }
 
-// foldJob is one resident job's running state inside Fold: the charge
-// every tick currently makes, the CPU service the job had when that charge
-// took effect, its demand, its phase cursor (the node's own, stepped in
-// place) and the stretch's sums up to then.
+// progressCeiling bounds one job's CPU progress in a quantum of length dt:
+// its full execution share converted at zero stall, plus a nanosecond of
+// rounding, or zero when the share is empty. It depends only on dt and the
+// resident count, so the node keeps the last one computed.
+func (n *Node) progressCeiling(dt time.Duration) time.Duration {
+	if c := &n.ceiling; c.dt != dt || c.jobs != len(n.jobs) {
+		c.dt, c.jobs, c.cpu = dt, len(n.jobs), 0
+		if exec := n.execShare(dt); exec > 0 {
+			c.cpu = time.Duration(exec.Seconds()*n.SpeedFactor()*float64(time.Second)) + 1
+		}
+	}
+	return n.ceiling.cpu
+}
+
+// foldJob is one resident job's running state across Folds: the charge
+// every tick currently makes and its CPU seconds for the fault sum, the
+// CPU service the job had when that charge took effect, the residency its
+// next charge credits, its demand, its phase cursor (the node's own,
+// stepped in place) and the running Fold's sums up to then.
 type foldJob struct {
 	j      *job.Job
+	ioPer  float64 // the job's ioPerMiss
 	charge charge
+	cpuSec float64 // charge.cpu in seconds, the fault sum's factor
 	done   time.Duration
+	resid  time.Duration
 	demand float64
 	cursor *job.Segment
 	sum    charge
-	// resid is the job's residency in the coming quantum: all of it but
-	// on the stretch's first, where Tick's resid rule applies and a job
-	// resident for none of it (resid <= 0) is skipped.
-	resid time.Duration
 }
 
-// recharge closes the job's current charge after seg ticks and takes up
-// the charge of quantum q.
-func (f *foldJob) recharge(q *quantum, seg int64) {
-	f.sum.add(f.charge, seg)
-	f.done += f.charge.cpu * time.Duration(seg)
-	f.charge = charge{}
-	if f.resid > 0 {
-		f.charge = q.charge(f.j, f.resid, f.j.CPUDemand-f.done)
-	}
+// foldEnd is where the last Fold left the node: the quantum and replay
+// cursor at its final demand total, whether the per-job charges still
+// match that quantum (stale if not) and whether every job sat inside a
+// flat cursor. Its key — the StatusVersion after the commit, the quantum
+// length and the instant of the next tick due — names the only Fold that
+// may resume from it; any status mutation in between moves the version.
+type foldEnd struct {
+	version       uint64
+	dt, next      time.Duration
+	valid         bool
+	q             quantum
+	rep           memory.Replay
+	stale, steady bool
 }
 
 // Fold advances the k quanta due at now, now+dt, …, now+(k-1)*dt in one
@@ -1021,20 +1071,12 @@ func (f *foldJob) recharge(q *quantum, seg int64) {
 // CompletionFloor); inside such a stretch nothing a tick does reaches
 // beyond the node, so Fold covers every regime and never falls back.
 //
-// Fold replays Tick's per-tick, per-job order on a memory.Replay cursor:
-// each tick reads its stall and cache miss from the cursor's total, each
-// job accrues faults against the total as the earlier jobs of that tick
-// left it, and a job whose demand moves steps the cursor. While the stall
-// and cache miss stand still every tick charges each job the same amounts,
-// so the integer sums are multiplies; and while every job sits inside a
-// flat phase cursor the total stands still too, so whole runs of ticks
-// fold at once, up to the first cursor's end, replaying only the
-// page-fault float sum add by add (it is order-dependent), and only while
-// pressured. A flat phase is one long run, a ramp a chain of single ticks
-// that step their demand on the job's cursor, and a pressure crossing in
-// either direction just another total for the next tick to read. The
-// pressure watcher sees one notification for the whole stretch: it only
-// records the latest state.
+// A Fold that starts at the instant the last one would have ticked next,
+// with the same quantum and no status mutation in between, resumes from
+// the quantum, replay cursor and charges that one ended with; any other
+// rebuilds them, crediting each job's first charge with its residency in
+// the first quantum (Tick's resid rule). Either way advance makes the
+// ticks, and the commit books them.
 func (n *Node) Fold(dt, now time.Duration, k int64) error {
 	if dt <= 0 {
 		return fmt.Errorf("node %d: nonpositive quantum %v", n.cfg.ID, dt)
@@ -1042,38 +1084,96 @@ func (n *Node) Fold(dt, now time.Duration, k int64) error {
 	if len(n.jobs) == 0 || k <= 0 {
 		return nil
 	}
+	end := &n.foldEnd
+	resume := end.valid && end.version == n.StatusVersion() && end.dt == dt && end.next == now
+	end.valid, end.dt = false, dt
 	n.version++
-	// Only the first tick can credit partial residency: it leaves every
-	// job covered up to now. steady reports that every job sits inside a
-	// flat cursor, so a run can fold.
 	if cap(n.fold) < len(n.jobs) {
 		n.fold = make([]foldJob, len(n.jobs))
 	}
 	fold := n.fold[:len(n.jobs)]
-	first, steady := false, true
-	for i, j := range n.jobs {
-		f := &fold[i]
-		f.j, f.done, f.demand, f.cursor, f.resid = j, j.CPUDone(), n.demand[i], &n.cursor[i], dt
-		f.charge, f.sum = charge{}, charge{}
-		if from := n.covered[i]; from > now-dt {
-			f.resid, first = now-from, true
+	partial := false
+	if !resume {
+		for i, j := range n.jobs {
+			fold[i] = foldJob{j: j, ioPer: n.ioPerMiss(j), done: j.CPUDone(), resid: dt,
+				demand: n.demand[i], cursor: &n.cursor[i]}
+			if from := n.covered[i]; from > now-dt {
+				fold[i].resid, partial = now-from, true
+			}
 		}
-		steady = steady && f.cursor.Flat() && f.cursor.Covers(f.done)
+		end.rep = n.mem.Replay()
+		end.q = n.newQuantum(dt, end.rep.Stall(), 1-n.cacheAvailabilityAt(end.rep.Total()))
+		end.stale = true
 	}
-	rep := n.mem.Replay()
-	q := n.newQuantum(dt, rep.Stall(), 1-n.cacheAvailabilityAt(rep.Total()))
+	seg := end.advance(n, fold, k, partial)
+
+	// Commit: integer sums fold exactly, and the demand registry takes the
+	// cursor's total, accumulated in Update's order, unless the total is
+	// bit for bit and every demand equal to what the registry holds. Each
+	// job's done moves on to its service, so the charges carry into a
+	// resuming Fold.
+	last := now + time.Duration(k-1)*dt
+	moved := math.Float64bits(end.rep.Total()) != math.Float64bits(n.mem.DemandMB())
+	for i := range fold {
+		f := &fold[i]
+		moved = moved || f.demand != n.demand[i]
+		f.sum.add(f.charge, seg)
+		f.done += f.charge.cpu * time.Duration(seg)
+		if err := f.j.AccountFold(f.sum.cpu, f.sum.page, f.sum.queue); err != nil {
+			return err
+		}
+		n.covered[i] = last
+		n.demand[i] = f.demand
+		n.cpuDelivered += f.sum.cpu
+		n.ioStall += f.sum.io
+		f.sum = charge{}
+	}
+	if moved {
+		ids := n.foldIDs[:0]
+		for _, j := range n.jobs {
+			ids = append(ids, j.ID)
+		}
+		n.foldIDs = ids
+		if err := n.mem.ReplayDemands(ids, n.demand, end.rep.Total()); err != nil {
+			return err
+		}
+	}
+	end.version, end.next, end.valid = n.StatusVersion(), now+time.Duration(k)*dt, true
+	n.notifyPressure()
+	return nil
+}
+
+// advance makes the k ticks of a Fold from the state e holds, replaying
+// Tick's per-tick, per-job order on the replay cursor: each tick reads its
+// stall and cache miss from the cursor's total, each job accrues faults
+// against the total as the earlier jobs of that tick left it, and a job
+// whose demand moves steps the cursor. Each tick is one pass over the
+// jobs; on a tick whose quantum moved, each job closes its old charge and
+// takes the new one in that same pass. While the stall and cache miss
+// stand still every tick charges each job the same amounts, so the integer
+// sums are multiplies; and while every job sits inside a flat phase cursor
+// the total stands still too, so whole runs of ticks fold at once, up to
+// the first cursor's end, replaying only the page-fault float sum add by
+// add (it is order-dependent), and only while pressured. A flat phase is
+// one long run, a ramp a chain of single ticks that step their demand on
+// the job's cursor, and a pressure crossing in either direction just
+// another total for the next tick to read. The pressure watcher sees one
+// notification for the whole stretch: it only records the latest state.
+//
+// It adds the stretch's faults to the node's and reports seg, the ticks
+// made at the final charges. partial reports a rebuild that credits some
+// job a partial first quantum. The loop lives apart from Fold's set-up and
+// commit, which leaves the compiler fewer live values to spill.
+func (e *foldEnd) advance(n *Node, fold []foldJob, k int64, partial bool) (seg int64) {
+	qv, repv, faults, io := e.q, e.rep, n.faults, n.ioActive > 0
+	q, rep := &qv, &repv
 	// seg counts the ticks made at the current charges, so a job's CPU
 	// service is its done plus seg of its charge; stale marks charges that
-	// no longer match q.
-	seg, stale, moved, faults := int64(0), true, false, n.faults
+	// no longer match q, and steady that the last tick left every job
+	// inside a flat cursor, so a run can fold.
+	stale, steady := e.stale, e.steady
 	for t := int64(0); t < k; {
-		if stale {
-			for i := range fold {
-				fold[i].recharge(&q, seg)
-			}
-			seg, stale = 0, false
-		}
-		if steady && !first {
+		if steady && !stale {
 			// Fold the run of ticks before the first job leaves its cursor.
 			run := k - t
 			for i := range fold {
@@ -1089,7 +1189,7 @@ func (n *Node) Fold(dt, now time.Duration, k int64) error {
 					fr := rep.FaultRate()
 					for r := int64(0); r < run; r++ {
 						for i := range fold {
-							faults += float64(fold[i].charge.cpu) / float64(time.Second) * fr
+							faults += fold[i].cpuSec * fr
 						}
 					}
 				}
@@ -1099,82 +1199,34 @@ func (n *Node) Fold(dt, now time.Duration, k int64) error {
 				}
 			}
 		}
-		// Then ticks in full, crossings and all, while the charges hold:
-		// below user memory with no I/O-active job the stall and cache
-		// miss stay zero whatever the total does.
-		limit := k - t
-		if first {
-			limit = 1
+		// Then one tick in full. On a stale tick each job first closes its
+		// charge after seg ticks and takes q's at the residency it is due:
+		// a partial one only on the first tick after a rebuild, which skips
+		// a job resident for none of it, as Tick does.
+		total, pressured := rep.Total(), rep.Pressured()
+		made := seg + 1
+		if stale {
+			made = 1
 		}
-		total := rep.Total()
-		ticks, fs, st, mv := foldTicks(fold, &rep, faults, seg, limit, first, !rep.Pressured() && n.ioActive == 0)
-		faults, steady, moved, seg, t = fs, st, moved || mv, seg+ticks, t+ticks
-		if first {
-			// Every later tick credits full residency.
-			for i := range fold {
-				fold[i].resid = dt
-			}
-			stale, first = true, false
-		}
-		if rep.Total() != total {
-			stale = q.setPressure(rep.Stall(), 1-n.cacheAvailabilityAt(rep.Total())) || stale
-		}
-	}
-	n.faults = faults
-
-	// Commit: integer sums fold exactly, and the demand registry takes the
-	// cursor's total, accumulated in Update's order.
-	last := now + time.Duration(k-1)*dt
-	for i := range fold {
-		f := &fold[i]
-		f.sum.add(f.charge, seg)
-		if err := f.j.AccountFold(f.sum.cpu, f.sum.page, f.sum.queue); err != nil {
-			return err
-		}
-		n.covered[i] = last
-		n.demand[i] = f.demand
-		n.cpuDelivered += f.sum.cpu
-		n.ioStall += f.sum.io
-	}
-	if moved {
-		ids := n.foldIDs[:0]
-		for _, j := range n.jobs {
-			ids = append(ids, j.ID)
-		}
-		n.foldIDs = ids
-		if err := n.mem.ReplayDemands(ids, n.demand, rep.Total()); err != nil {
-			return err
-		}
-	}
-	n.notifyPressure()
-	return nil
-}
-
-// foldTicks replays up to limit ticks at the current charges, the first
-// being tick seg+1 of them, each in Tick's per-job order: progress, fault
-// accrual against the total as the earlier jobs left it, then the demand
-// refresh on the job's phase cursor, rebuilt once service leaves it. On
-// the stretch's first tick it skips the jobs resident for none of it, as
-// Tick does. It stops after a tick that leaves every job inside a flat
-// cursor, so a run can fold, or that moves the total the charges depend
-// on: any move unless fixed, else one into pressure. It reports the ticks
-// made, the fault count after them, whether the last left every job inside
-// a flat cursor, and whether any demand moved.
-func foldTicks(fold []foldJob, rep *memory.Replay, faults float64, seg, limit int64, first, fixed bool) (ticks int64, faultsAfter float64, steady, moved bool) {
-	for ticks < limit {
-		ticks++
-		total := rep.Total()
 		steady = true
 		for i := range fold {
 			f := &fold[i]
-			done := f.done + f.charge.cpu*time.Duration(seg+ticks)
-			if first && f.resid <= 0 {
-				steady = steady && f.cursor.Flat() && f.cursor.Covers(done)
-				continue
+			if stale {
+				f.sum.add(f.charge, seg)
+				f.done += f.charge.cpu * time.Duration(seg)
+				resid := f.resid
+				f.charge, f.cpuSec, f.resid = charge{}, 0, e.dt
+				if resid <= 0 {
+					steady = steady && f.cursor.Flat() && f.cursor.Covers(f.done)
+					continue
+				}
+				f.charge = q.charge(f.ioPer, resid, f.j.CPUDemand-f.done)
+				f.cpuSec = float64(f.charge.cpu) / float64(time.Second)
 			}
 			if rep.Pressured() { // the fault rate is nonzero exactly under pressure
-				faults += float64(f.charge.cpu) / float64(time.Second) * rep.FaultRate()
+				faults += f.cpuSec * rep.FaultRate()
 			}
+			done := f.done + f.charge.cpu*time.Duration(made)
 			if !f.cursor.Covers(done) {
 				*f.cursor = f.j.SegmentAt(done)
 			} else if f.cursor.Flat() {
@@ -1183,13 +1235,18 @@ func foldTicks(fold []foldJob, rep *memory.Replay, faults float64, seg, limit in
 			if d := f.cursor.DemandAt(done); d != f.demand {
 				rep.Step(f.demand, d)
 				f.demand = d
-				moved = true
 			}
 			steady = steady && f.cursor.Flat()
 		}
-		if steady || rep.Total() != total && (!fixed || rep.Pressured()) {
-			break
+		// A partial residency is credited once: the next tick recharges.
+		seg, stale, partial = made, partial, false
+		t++
+		// Below user memory with no I/O-active job the stall and cache miss
+		// stay zero whatever the total does, so the quantum holds.
+		if rep.Total() != total && (pressured || rep.Pressured() || io) {
+			stale = q.setPressure(rep.Stall(), 1-n.cacheAvailabilityAt(rep.Total())) || stale
 		}
 	}
-	return ticks, faults, steady, moved
+	e.q, e.rep, e.stale, e.steady, n.faults = qv, repv, stale, steady, faults
+	return seg
 }

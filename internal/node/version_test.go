@@ -76,7 +76,7 @@ var statusMutators = []versionCase{
 // statusNeutral lists every other exported Node method: accessors, and
 // setters of hooks that observe the node without changing its status.
 var statusNeutral = []string{
-	"CPUDelivered", "CacheAvailability", "CompletionFloor", "Config", "Down",
+	"CPUDelivered", "CacheAvailability", "CompletionFloor", "Config", "DemandAt", "Down",
 	"Draining", "ExpectedCount", "Faults", "HasSlot", "ID", "IOActiveJobs",
 	"IOStall", "IdleMB", "JobAt", "Jobs", "LoadStatus", "Memory",
 	"MostMemoryIntensiveJob", "NumJobs", "Pressured", "Removed", "Reserved",

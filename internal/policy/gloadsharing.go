@@ -182,7 +182,7 @@ func (g *GLoadSharing) migratable(n *node.Node) *job.Job {
 		if g.MaxJobMigrations > 0 && j.Migrations() >= g.MaxJobMigrations {
 			continue
 		}
-		if d := j.MemoryDemandMB(); d > bestDemand {
+		if d := n.DemandAt(i); d > bestDemand {
 			best, bestDemand = j, d
 		}
 	}

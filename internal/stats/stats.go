@@ -194,14 +194,16 @@ func (l Lognormal) Sample(rng *rand.Rand) float64 {
 
 // SampleTruncated draws one value from the distribution conditioned on the
 // interval (0, upper]. It uses inverse-transform sampling on the truncated
-// CDF so that any upper bound, however far in the tail, succeeds.
+// CDF so that any upper bound, however far in the tail, succeeds. Far out
+// in the tail the bisection's bracket can stop above upper, so the draw is
+// clamped to it.
 func (l Lognormal) SampleTruncated(rng *rand.Rand, upper float64) float64 {
 	cu := l.CDF(upper)
 	if cu <= 0 {
 		return upper
 	}
 	u := rng.Float64() * cu
-	return l.Quantile(u)
+	return min(l.Quantile(u), upper)
 }
 
 // Quantile inverts the CDF by bisection. p must be in (0, 1).

@@ -329,6 +329,25 @@ func TestSampleTruncated(t *testing.T) {
 	}
 }
 
+// TestSampleTruncatedFarTail draws with medians far above the bound, up
+// to mu = 300, where the quantile's bracket can stop beyond upper: every
+// draw must still lie in (0, upper].
+func TestSampleTruncatedFarTail(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, mu := range []float64{20, 50, 100, 200, 300} {
+		for _, sigma := range []float64{1, 10, 100} {
+			l := Lognormal{Mu: mu, Sigma: sigma}
+			for _, upper := range []float64{1, 600, 3586} {
+				for i := 0; i < 50; i++ {
+					if v := l.SampleTruncated(rng, upper); !(v > 0 && v <= upper) {
+						t.Fatalf("Lognormal{%v, %v}: truncated sample %v out of (0, %v]", mu, sigma, v, upper)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestSampleDeterministic(t *testing.T) {
 	l := Lognormal{Mu: 1, Sigma: 1}
 	a := l.Sample(rand.New(rand.NewSource(42)))

@@ -6,9 +6,10 @@
 # packages get a second -count=2 pass (catches cross-run state leakage in
 # the seeded fault streams), the steady-state zero-allocation guard runs
 # without the race detector, the quantum fold is fuzzed against dense ticks
-# for 20 s, the phase cursor against MemoryDemandAtMB for 10 s and the
-# fault injector's drop runs against one draw per period for 10 s, the
-# benchmark module's tests (bench/) check
+# for 20 s and its resume across status mutations for 10 s, the phase
+# cursor against MemoryDemandAtMB for 10 s and the fault injector's drop
+# runs against one draw per period for 10 s, the benchmark module's tests
+# (bench/) check
 # its result goldens, a vrsim run with every fault dimension
 # enabled smoke-tests self-healing end to end, a level-1 chaos grid
 # (membership churn + domain faults, invariant auditor on) must complete
@@ -39,6 +40,10 @@ go test -count=1 -run '^TestSteadyStateAllocs$' .
 # fuzzing run explores past it (fold vs. dense ticks, bit for bit).
 echo "== go test ./internal/node -fuzz FuzzFoldMatchesTick (20 s)"
 go test ./internal/node -run '^$' -fuzz FuzzFoldMatchesTick -fuzztime 20s
+# A fold split into parts resumes where the last part ended, across the
+# status mutators drawn between them, still bit for bit.
+echo "== go test ./internal/node -fuzz FuzzFoldResume (10 s)"
+go test ./internal/node -run '^$' -fuzz FuzzFoldResume -fuzztime 10s
 # The phase cursor the fold steps through: SegmentAt's bounds exact and
 # DemandAt bit-identical to MemoryDemandAtMB on drawn profiles.
 echo "== go test ./internal/job -fuzz FuzzSegmentAt (10 s)"
