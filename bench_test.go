@@ -31,7 +31,7 @@ const benchQuantum = 100 * time.Millisecond
 // arena reaches its zero-allocation steady state (heap and slot arrays
 // stop growing, the free list recycles every slot).
 func BenchmarkEngineScheduleRun(b *testing.B) {
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	fn := func() {}
 	const batch = 1024
 	b.ReportAllocs()
@@ -51,7 +51,7 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 // immediate slot release) and half miss already-fired ones. Guards the
 // arena against free-list or generation-stamp regressions.
 func BenchmarkEngineScheduleCancel(b *testing.B) {
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	fn := func() {}
 	const ring = 256
 	var handles [ring]sim.Handle

@@ -32,7 +32,6 @@ func run() error {
 		Memory:       memory.Config{CapacityMB: 128},
 	})
 	cfg.Quantum = 10 * time.Millisecond
-	cfg.Seed = 1
 
 	// The scheduling policy: G-Loadsharing extended with adaptive and
 	// virtual reconfiguration (the paper's contribution).

@@ -227,16 +227,24 @@ func TestForkTraceExportsDoNotInterleave(t *testing.T) {
 }
 
 // TestForkVsFreshEquivalenceChaos repeats the check with every fault
-// dimension enabled (crashes with requeue, correlated failure domains,
-// dropped refreshes, aborted migrations), a membership churn script, the
-// shared-network link, and the runtime auditor — the full chaos surface
-// the snapshot must capture.
+// dimension enabled (crashes with requeue, correlated failure domains with
+// crash waves and partitions, dropped refreshes, aborted migrations), a
+// membership churn script, the shared-network link, and the runtime
+// auditor — the full chaos surface the snapshot must capture. At the plan
+// seed, domain 1 is partitioned from 24m50s to 1h0m45s, across the fork
+// instant, so the snapshot carries frozen drop runs as well as queued
+// ones, the calendar and the period counter.
 func TestForkVsFreshEquivalenceChaos(t *testing.T) {
 	plan := faults.Plan{
-		MTBF:      15 * time.Minute,
-		Crash:     faults.Requeue,
-		DropRate:  0.1,
-		AbortRate: 0.2,
+		Seed:          38,
+		MTBF:          15 * time.Minute,
+		Crash:         faults.Requeue,
+		DropRate:      0.1,
+		AbortRate:     0.2,
+		Domains:       4,
+		DomainMTBF:    2 * time.Hour,
+		PartitionMTBF: 4 * time.Hour,
+		PartitionMTTR: 20 * time.Minute,
 	}
 	for _, vr := range []bool{false, true} {
 		vr := vr
@@ -257,8 +265,32 @@ func TestForkVsFreshEquivalenceChaos(t *testing.T) {
 				{At: 40 * time.Minute, Kind: cluster.MemberJoin, Node: cfg.Nodes[1]},
 			}
 			fresh, freshEv := freshForkRun(t, cfg, vr, comp)
+			if !partitionLive(freshEv, at) {
+				t.Fatalf("no partition live at the fork instant %v", at)
+			}
 			forked, forkedEv := forkedRun(t, cfg, vr, comp, head, at)
 			compareForkFresh(t, fresh, forked, freshEv, forkedEv)
 		})
 	}
+}
+
+// partitionLive reports whether a run's trace has a domain partitioned at
+// instant at: its partition opened before at and had not healed by then.
+func partitionLive(evs []obs.Event, at time.Duration) bool {
+	open := map[int32]bool{}
+	for _, ev := range evs {
+		if ev.At >= at {
+			break
+		}
+		if ev.Flags&obs.FlagPartition == 0 {
+			continue
+		}
+		switch ev.Kind {
+		case obs.KindDomainOutage:
+			open[ev.Aux] = true
+		case obs.KindDomainRestore:
+			delete(open, ev.Aux)
+		}
+	}
+	return len(open) > 0
 }

@@ -28,26 +28,22 @@ func Homogeneous(n int, proto node.Config) Config {
 // 4 KB pages, 10 ms page fault service, 0.1 ms context switch, 10 Mbps
 // Ethernet).
 func Cluster1() Config {
-	cfg := Homogeneous(32, node.Config{
+	return Homogeneous(32, node.Config{
 		CPUSpeedMHz:  400,
 		CPUThreshold: DefaultCPUThreshold,
 		Memory:       memory.Config{CapacityMB: 384},
 	})
-	cfg.Seed = 1
-	return cfg
 }
 
 // Cluster2 is the paper's second simulated cluster: 32 workstations of the
 // workload-group-2 type (233 MHz Pentium, 128 MB memory, 128 MB swap, same
 // paging and network constants).
 func Cluster2() Config {
-	cfg := Homogeneous(32, node.Config{
+	return Homogeneous(32, node.Config{
 		CPUSpeedMHz:  233,
 		CPUThreshold: DefaultCPUThreshold,
 		Memory:       memory.Config{CapacityMB: 128},
 	})
-	cfg.Seed = 1
-	return cfg
 }
 
 // Heterogeneous builds a cluster whose workstations vary in CPU speed and

@@ -148,7 +148,6 @@ func AblationHeterogeneous(cfg RunConfig, level int) ([]AblationResult, error) {
 	small := protos[0]
 	small.Memory.CapacityMB *= 0.75
 	het := cluster.Heterogeneous(len(base.Nodes), []node.Config{big, protos[0], small, protos[0]}, protos[0].CPUSpeedMHz)
-	het.Seed = base.Seed
 	het.Quantum = cfg.Quantum
 	return ablate(cfg, pair(cfg, tr, het))
 }

@@ -151,7 +151,6 @@ func RunScale(cfg ScaleConfig) (*ScaleSweep, error) {
 			return nil, err
 		}
 		ccfg := cluster.Homogeneous(n, scaleProto())
-		ccfg.Seed = 1
 		ccfg.Quantum = cfg.Quantum
 		cells[i] = cell{name: fmt.Sprintf("scale point %d nodes", n), trace: tr, cfg: ccfg,
 			sched: vr(core.Options{Lease: 30 * time.Second})}

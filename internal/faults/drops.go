@@ -1,7 +1,5 @@
 package faults
 
-import "math/rand"
-
 // This file holds the exchange-drop dimension. Each node draws one
 // Float64 from its private stream per control period and drops its
 // load-information exchange when the draw falls below DropRate; a
@@ -12,9 +10,9 @@ import "math/rand"
 // its next drop, and the periods before the run's last answer keep their
 // exchange. Each run is filed on a calendar under the period its last
 // answer falls in, so a control period visits only the runs that end in it
-// and the members of partitioned domains, not every node. The answers, and
-// the stream positions Snapshot records, are the same as drawing once per
-// node per period.
+// and the members of partitioned domains, not every node. The answers are
+// the same as drawing once per node per period; the streams themselves
+// run ahead of the periods, and a snapshot copies them with the runs.
 
 // calendarSlots is the calendar's length. A run answers at most maxDropRun
 // periods, so every run on the calendar ends within that many periods of
@@ -22,15 +20,14 @@ import "math/rand"
 // different periods' runs.
 const calendarSlots = maxDropRun
 
-// dropRun is one node's drop decisions drawn ahead: n periods, read from
-// the stream position from, of which the last is a drop when drop is set
-// and all others keep their exchange; n is zero until the node's first run
-// is drawn. While queued, the run sits on the calendar slot of end, the
-// period of its last answer, linked to the other runs there through prev
-// and next (-1 at either end of the chain). Off the calendar (a partition
-// or retirement froze it) left counts the periods it has still to answer.
+// dropRun is one node's drop decisions drawn ahead: n periods, of which the
+// last is a drop when drop is set and all others keep their exchange; n is
+// zero until the node's first run is drawn. While queued, the run sits on
+// the calendar slot of end, the period of its last answer, linked to the
+// other runs there through prev and next (-1 at either end of the chain).
+// Off the calendar (a partition or retirement froze it) left counts the
+// periods it has still to answer.
 type dropRun struct {
-	from       uint64
 	end        uint64
 	prev, next int32
 	n, left    uint8
@@ -92,9 +89,7 @@ func (in *Injector) markDropped(id int) {
 // and files it on the calendar.
 func (in *Injector) startRun(id int) {
 	r := &in.runs[id]
-	src := in.dropSrc[id]
-	r.from = src.Draws()
-	r.n, r.drop = drawRun(src, in.plan.DropRate)
+	r.n, r.drop = drawRun(&in.dropSrc[id], in.plan.DropRate)
 	r.left = r.n
 	in.enqueue(id)
 }
@@ -146,42 +141,6 @@ func (in *Injector) thaw(id int) {
 	in.enqueue(id)
 }
 
-// dropPosition reports how many values node id's stream would have yielded
-// had each answered period drawn its own Float64. Every answer but a run's
-// last took exactly one value (drawRun ends a run at any redraw), and a
-// finished run is replaced at once, so a run's start and its answered
-// periods give the position; before its first run it is the stream's own.
-func (in *Injector) dropPosition(id int) uint64 {
-	r := &in.runs[id]
-	if r.n == 0 {
-		return in.dropSrc[id].Draws()
-	}
-	left := uint64(r.left)
-	if r.queued {
-		left = r.end - in.period + 1
-	}
-	return r.from + uint64(r.n) - left
-}
-
-// restoreDrops rebuilds the drop runs after Restore has rewound every drop
-// stream, the retirements and the partitions: the last drop set is
-// forgotten, and every node neither retired nor partitioned draws a fresh
-// run from its restored position.
-func (in *Injector) restoreDrops() {
-	clear(in.dropped)
-	in.dropped = in.dropped[:(len(in.runs)+63)/64]
-	in.droppedIDs = in.droppedIDs[:0]
-	for s := range in.calendar {
-		in.calendar[s] = -1
-	}
-	for id := range in.runs {
-		in.runs[id] = dropRun{prev: -1, next: -1}
-		if in.plan.DropRate > 0 && !in.retired[id] && !in.Partitioned(id) {
-			in.startRun(id)
-		}
-	}
-}
-
 // maxDropRun caps how many periods one run reads ahead, so a tiny drop
 // rate cannot spin the draw loop.
 const maxDropRun = 64
@@ -190,7 +149,7 @@ const maxDropRun = 64
 // below rate, at most maxDropRun of them, and ending early after any
 // Float64 that took more than one value from src. It reports the run's
 // length and whether its last period drops.
-func drawRun(src rand.Source, rate float64) (n uint8, drop bool) {
+func drawRun(src *stream, rate float64) (n uint8, drop bool) {
 	for n < maxDropRun {
 		n++
 		f, values := nextFloat64(src)
@@ -207,7 +166,7 @@ func drawRun(src rand.Source, rate float64) (n uint8, drop bool) {
 // nextFloat64 returns the value rand.(*Rand).Float64 would return on src,
 // and how many values it took from src: normally one, more when an Int63
 // so close to 1<<63 that the division rounds to 1.0 forces a redraw.
-func nextFloat64(src rand.Source) (f float64, values int) {
+func nextFloat64(src *stream) (f float64, values int) {
 	for {
 		values++
 		if f = float64(src.Int63()) / (1 << 63); f != 1 {

@@ -18,6 +18,20 @@ type scriptSource struct {
 func (s *scriptSource) Int63() int64 { v := s.vals[s.n]; s.n++; return v }
 func (s *scriptSource) Seed(int64)   {}
 
+// scripted returns a stream whose first Int63s are vals (at most
+// rngTap of them): each draw adds the word under the tap, zero here, to
+// the word under the feed, which holds the next value.
+func scripted(vals []int64) *stream {
+	s := &stream{feed: rngLen - rngTap}
+	for i, v := range vals {
+		s.vec[s.feed-1-i] = v
+	}
+	return s
+}
+
+// taken counts the values drawn from a scripted stream.
+func taken(s *stream) int { return rngLen - rngTap - s.feed }
+
 // roundsToOne is an Int63 so close to 1<<63 that Float64's division rounds
 // it to 1.0, forcing a redraw.
 const roundsToOne = 1<<63 - 1
@@ -33,16 +47,17 @@ func TestNextFloat64MatchesRandFloat64(t *testing.T) {
 		{roundsToOne, roundsToOne, 1 << 40},
 	} {
 		want := rand.New(&scriptSource{vals: vals}).Float64()
-		f, values := nextFloat64(&scriptSource{vals: vals})
-		if f != want || values != len(vals) {
+		src := scripted(vals)
+		f, values := nextFloat64(src)
+		if f != want || values != len(vals) || taken(src) != len(vals) {
 			t.Errorf("%v: got %v after %d values, want %v after %d", vals, f, values, want, len(vals))
 		}
 	}
 }
 
-// TestDrawRunEndsAtRedraw pins the rule the snapshot position rests on: a
-// Float64 that took more than one value ends its run, so every answer but
-// a run's last took exactly one value.
+// TestDrawRunEndsAtRedraw pins drawRun's rule that a Float64 that took
+// more than one value ends its run, so every answer but a run's last took
+// exactly one value.
 func TestDrawRunEndsAtRedraw(t *testing.T) {
 	const keep, drop = 1 << 62, 0 // Float64 0.5 keeps at rate 0.1, 0 drops
 	cases := []struct {
@@ -57,11 +72,11 @@ func TestDrawRunEndsAtRedraw(t *testing.T) {
 		{"redraw then drop", []int64{roundsToOne, drop, keep}, 1, true, 2},
 	}
 	for _, tc := range cases {
-		src := &scriptSource{vals: tc.vals}
+		src := scripted(tc.vals)
 		n, dropped := drawRun(src, 0.1)
-		if n != tc.n || dropped != tc.drop || src.n != tc.values {
+		if n != tc.n || dropped != tc.drop || taken(src) != tc.values {
 			t.Errorf("%s: run of %d (drop %v) took %d values, want %d (drop %v) from %d",
-				tc.name, n, dropped, src.n, tc.n, tc.drop, tc.values)
+				tc.name, n, dropped, taken(src), tc.n, tc.drop, tc.values)
 		}
 	}
 	// A rate no Float64 falls below stops at the cap.
@@ -69,49 +84,46 @@ func TestDrawRunEndsAtRedraw(t *testing.T) {
 	for i := range vals {
 		vals[i] = keep
 	}
-	src := &scriptSource{vals: vals}
-	if n, dropped := drawRun(src, 1e-300); n != maxDropRun || dropped || src.n != maxDropRun {
-		t.Errorf("capped run: %d (drop %v) after %d values, want %d", n, dropped, src.n, maxDropRun)
+	src := scripted(vals)
+	if n, dropped := drawRun(src, 1e-300); n != maxDropRun || dropped || taken(src) != maxDropRun {
+		t.Errorf("capped run: %d (drop %v) after %d values, want %d", n, dropped, taken(src), maxDropRun)
 	}
 }
 
-// TestDropRunPosition checks the position Snapshot records: a run counts
-// one value per answered period from its start, whether it sits on the
-// calendar (its remaining periods read off its end) or is frozen (they are
-// kept in left), and before a node's first run the position is the
-// stream's own count, which covers a Float64 that took a redraw.
-func TestDropRunPosition(t *testing.T) {
-	src := sim.NewCountingSource(1)
-	for i := 0; i < 9; i++ {
-		src.Int63()
-	}
-	in := &Injector{dropSrc: []*sim.CountingSource{src}, period: 10,
-		runs: []dropRun{{from: 3, n: 5, left: 2}}}
-	if got := in.dropPosition(0); got != 6 {
-		t.Errorf("frozen position %d, want 6", got)
-	}
-	in.runs[0].queued, in.runs[0].end = true, 11 // periods 10 and 11 left
-	if got := in.dropPosition(0); got != 6 {
-		t.Errorf("queued position %d, want 6", got)
-	}
-	in.runs[0] = dropRun{}
-	if got := in.dropPosition(0); got != 9 {
-		t.Errorf("position before the first run %d, want the stream's 9", got)
+// countedSource is a rand.NewSource that counts its draws, so the
+// reference can rewind it by reseeding and replaying. Embedding the plain
+// Source interface hides the Uint64 method, so a *rand.Rand over it draws
+// through Int63 only.
+type countedSource struct {
+	rand.Source
+	seed  int64
+	draws int
+}
+
+func (c *countedSource) Int63() int64 { c.draws++; return c.Source.Int63() }
+
+func (c *countedSource) rewind(draws int) {
+	c.Source.Seed(c.seed)
+	c.draws = 0
+	for c.draws < draws {
+		c.Int63()
 	}
 }
 
 // dropRef is the reference the fuzzer checks Drops against: one
-// Float64 per node per answered period, straight from rand.Rand.
+// Float64 per node per answered period, straight from math/rand's own
+// generator.
 type dropRef struct {
 	rng     []*rand.Rand
-	src     []*sim.CountingSource
+	src     []*countedSource
 	retired []bool
 	seed    int64
 }
 
 func (r *dropRef) addNode() {
-	rng, src := stream(r.seed, 1, len(r.rng))
-	r.rng = append(r.rng, rng)
+	seed := streamSeed(r.seed, 1, len(r.rng))
+	src := &countedSource{Source: rand.NewSource(seed), seed: seed}
+	r.rng = append(r.rng, rand.New(src))
 	r.src = append(r.src, src)
 	r.retired = append(r.retired, false)
 }
@@ -135,7 +147,7 @@ func (r *dropRef) drop(in *Injector, id int, rate float64) bool {
 type dropSaved struct {
 	engine  *sim.EngineSnapshot
 	in      *Snapshot
-	draws   []uint64
+	draws   []int
 	retired []bool
 }
 
@@ -143,8 +155,7 @@ type dropSaved struct {
 // script of control periods, clock advances (which open and heal
 // partitions on the injector's own timers), retirements, joins, and
 // snapshot/restore, and requires the calendar's drop set of every period
-// to hold exactly the nodes the reference drops, and, after each period,
-// snapshot positions equal to the reference's draw counts.
+// to hold exactly the nodes the reference drops.
 func FuzzDropRefresh(f *testing.F) {
 	f.Add(1.0, int64(1), []byte{0, 0, 2, 0, 5, 0, 3, 0, 11, 0, 4, 0, 0})
 	f.Add(1e-300, int64(2), []byte{0, 0, 0, 5, 0, 0, 11, 0, 4, 0, 2, 2, 0})
@@ -168,7 +179,7 @@ func FuzzDropRefresh(f *testing.F) {
 			script = script[:1024]
 		}
 		const nodes = 5
-		e := sim.NewEngine(1)
+		e := sim.NewEngine()
 		in, err := NewInjector(e, Plan{Seed: seed, DropRate: rate, Domains: 3,
 			PartitionMTBF: 20 * time.Second, PartitionMTTR: 5 * time.Second}, nodes, Hooks{})
 		if err != nil {
@@ -198,13 +209,6 @@ func FuzzDropRefresh(f *testing.F) {
 				if n != count || in.Dropped(-1) || in.Dropped(len(ref.rng)) {
 					t.Fatalf("step %d: drop set of %d, want %d and no out-of-range member", step, n, count)
 				}
-				s := in.Snapshot()
-				for id, src := range ref.src {
-					if s.dropDraws[id] != src.Draws() {
-						t.Fatalf("step %d node %d: snapshot position %d, want %d",
-							step, id, s.dropDraws[id], src.Draws())
-					}
-				}
 			case 2:
 				e.RunUntil(e.Now() + time.Duration(arg+1)*time.Second)
 			case 3:
@@ -223,7 +227,7 @@ func FuzzDropRefresh(f *testing.F) {
 					saved = &dropSaved{engine: e.Snapshot(), in: in.Snapshot(),
 						retired: append([]bool(nil), ref.retired...)}
 					for _, src := range ref.src {
-						saved.draws = append(saved.draws, src.Draws())
+						saved.draws = append(saved.draws, src.draws)
 					}
 					continue
 				}
@@ -233,7 +237,7 @@ func FuzzDropRefresh(f *testing.F) {
 				ref.rng, ref.src = ref.rng[:n], ref.src[:n]
 				ref.retired = append(ref.retired[:0], saved.retired...)
 				for id, d := range saved.draws {
-					ref.src[id].Restore(d)
+					ref.src[id].rewind(d)
 				}
 			}
 		}

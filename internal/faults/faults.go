@@ -252,20 +252,23 @@ type Injector struct {
 	plan   Plan
 	hooks  Hooks
 
+	// Every stream's state is a value (see stream.go): a snapshot copies
+	// it and a restore copies it back. The streams a *rand.Rand draws from
+	// are allocated one by one, so growing the slices that list them never
+	// leaves a wrapper pointing at a stale copy.
 	crashRNG []*rand.Rand // per-node crash/repair timing
-	migRNG   *rand.Rand   // migration-abort draws, in transfer-start order
+	crashSrc []*stream
+	migRNG   *rand.Rand // migration-abort draws, in transfer-start order
+	migSrc   *stream
 
 	domainRNG []*rand.Rand // per-domain crash-wave timing
+	domainSrc []*stream
 	partRNG   []*rand.Rand // per-domain partition timing
+	partSrc   []*stream
 
-	// Counting sources backing the streams above, in the same order, so a
-	// snapshot can record each stream's position and a restore can rewind
-	// it (see snapshot.go).
-	crashSrc  []*sim.CountingSource
-	dropSrc   []*sim.CountingSource // per-node exchange-drop draws, read in runs
-	migSrc    *sim.CountingSource
-	domainSrc []*sim.CountingSource
-	partSrc   []*sim.CountingSource
+	// dropSrc holds each node's exchange-drop stream in place; drawRun
+	// reads it without a wrapper, so AddNode may move it.
+	dropSrc []stream
 
 	// runs holds each node's drop decisions drawn ahead of the periods
 	// that consume them, each filed on the calendar under the period its
@@ -293,19 +296,24 @@ type Injector struct {
 // fault precedes its consequences in the trace.
 func (in *Injector) SetTracer(tr *obs.Tracer) { in.tr = tr }
 
-// stream derives an independent deterministic random stream from the plan
-// seed, a dimension salt, and a node index (SplitMix64-style mixing). The
-// returned source counts its draws; the *rand.Rand wraps it as a plain
-// Source (not Source64), so the values are bit-identical to wrapping
-// rand.NewSource directly.
-func stream(seed int64, salt, id int) (*rand.Rand, *sim.CountingSource) {
+// streamSeed derives an independent stream's seed from the plan seed, a
+// dimension salt, and a node index (SplitMix64-style mixing).
+func streamSeed(seed int64, salt, id int) int64 {
 	x := uint64(seed) + uint64(salt+1)*0x9E3779B97F4A7C15 + uint64(id+1)*0xBF58476D1CE4E5B9
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9
 	x ^= x >> 27
 	x *= 0x94D049BB133111EB
 	x ^= x >> 31
-	src := sim.NewCountingSource(int64(x))
+	return int64(x)
+}
+
+// newRand returns the stream of (seed, salt, id) and a *rand.Rand over it,
+// whose draws are bit-identical to wrapping rand.NewSource of the same
+// seed.
+func newRand(seed int64, salt, id int) (*rand.Rand, *stream) {
+	src := new(stream)
+	src.Seed(streamSeed(seed, salt, id))
 	return rand.New(src), src
 }
 
@@ -326,8 +334,8 @@ func NewInjector(engine *sim.Engine, plan Plan, nodes int, hooks Hooks) (*Inject
 		plan:     plan,
 		hooks:    hooks,
 		crashRNG: make([]*rand.Rand, nodes),
-		crashSrc: make([]*sim.CountingSource, nodes),
-		dropSrc:  make([]*sim.CountingSource, nodes),
+		crashSrc: make([]*stream, nodes),
+		dropSrc:  make([]stream, nodes),
 		runs:     make([]dropRun, nodes),
 		downBy:   make([]downOwner, nodes),
 		retired:  make([]bool, nodes),
@@ -338,10 +346,10 @@ func NewInjector(engine *sim.Engine, plan Plan, nodes int, hooks Hooks) (*Inject
 	for s := range in.calendar {
 		in.calendar[s] = -1
 	}
-	in.migRNG, in.migSrc = stream(plan.Seed, 2, 0)
+	in.migRNG, in.migSrc = newRand(plan.Seed, 2, 0)
 	for i := 0; i < nodes; i++ {
-		in.crashRNG[i], in.crashSrc[i] = stream(plan.Seed, 0, i)
-		_, in.dropSrc[i] = stream(plan.Seed, 1, i)
+		in.crashRNG[i], in.crashSrc[i] = newRand(plan.Seed, 0, i)
+		in.dropSrc[i].Seed(streamSeed(plan.Seed, 1, i))
 		in.runs[i] = dropRun{prev: -1, next: -1}
 		if plan.DropRate > 0 {
 			in.startRun(i)
@@ -350,12 +358,12 @@ func NewInjector(engine *sim.Engine, plan Plan, nodes int, hooks Hooks) (*Inject
 	if plan.Domains > 0 {
 		in.domainRNG = make([]*rand.Rand, plan.Domains)
 		in.partRNG = make([]*rand.Rand, plan.Domains)
-		in.domainSrc = make([]*sim.CountingSource, plan.Domains)
-		in.partSrc = make([]*sim.CountingSource, plan.Domains)
+		in.domainSrc = make([]*stream, plan.Domains)
+		in.partSrc = make([]*stream, plan.Domains)
 		in.partitioned = make([]bool, plan.Domains)
 		for d := 0; d < plan.Domains; d++ {
-			in.domainRNG[d], in.domainSrc[d] = stream(plan.Seed, 3, d)
-			in.partRNG[d], in.partSrc[d] = stream(plan.Seed, 4, d)
+			in.domainRNG[d], in.domainSrc[d] = newRand(plan.Seed, 3, d)
+			in.partRNG[d], in.partSrc[d] = newRand(plan.Seed, 4, d)
 		}
 	}
 	return in, nil
@@ -371,11 +379,11 @@ func (in *Injector) AddNode(id int) error {
 	if id != len(in.crashRNG) {
 		return fmt.Errorf("faults: node %d joined out of order (have %d)", id, len(in.crashRNG))
 	}
-	crashRNG, crashSrc := stream(in.plan.Seed, 0, id)
-	_, dropSrc := stream(in.plan.Seed, 1, id)
+	crashRNG, crashSrc := newRand(in.plan.Seed, 0, id)
 	in.crashRNG = append(in.crashRNG, crashRNG)
 	in.crashSrc = append(in.crashSrc, crashSrc)
-	in.dropSrc = append(in.dropSrc, dropSrc)
+	in.dropSrc = append(in.dropSrc, stream{})
+	in.dropSrc[id].Seed(streamSeed(in.plan.Seed, 1, id))
 	in.runs = append(in.runs, dropRun{prev: -1, next: -1})
 	in.downBy = append(in.downBy, ownerNone)
 	in.retired = append(in.retired, false)

@@ -125,7 +125,7 @@ func TestParseCrashPolicy(t *testing.T) {
 }
 
 func TestNewInjectorValidation(t *testing.T) {
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	if _, err := NewInjector(nil, Plan{}, 4, Hooks{}); err == nil {
 		t.Error("nil engine should fail")
 	}
@@ -148,7 +148,7 @@ type faultLog struct {
 // second and AbortMigration every 5 s, and returns the schedule.
 func replay(t *testing.T, plan Plan, nodes int, dur time.Duration) faultLog {
 	t.Helper()
-	e := sim.NewEngine(99)
+	e := sim.NewEngine()
 	var log faultLog
 	in, err := NewInjector(e, plan, nodes, Hooks{
 		Crash: func(id int) {
@@ -208,7 +208,7 @@ func TestInjectorDeterminism(t *testing.T) {
 // TestCrashRecoverAlternates: per node, crash and recovery events strictly
 // alternate starting with a crash.
 func TestCrashRecoverAlternates(t *testing.T) {
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	state := map[int]int{} // 0 = up, 1 = down
 	in, err := NewInjector(e, Plan{Seed: 3, MTBF: 30 * time.Second, MTTR: 3 * time.Second}, 3, Hooks{
 		Crash: func(id int) {
@@ -233,7 +233,7 @@ func TestCrashRecoverAlternates(t *testing.T) {
 }
 
 func TestAbortFractionBounds(t *testing.T) {
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	in, err := NewInjector(e, Plan{Seed: 5, AbortRate: 1}, 1, Hooks{})
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +250,7 @@ func TestAbortFractionBounds(t *testing.T) {
 }
 
 func TestInactiveDrawsAreStable(t *testing.T) {
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	in, err := NewInjector(e, Plan{Seed: 5}, 2, Hooks{})
 	if err != nil {
 		t.Fatal(err)

@@ -1,22 +1,28 @@
 package faults
 
 // This file holds the injector's snapshot/restore support for cluster
-// forking. Every fault stream is backed by a counting source, so a
-// snapshot is just each stream's draw count (for a drop stream, the count
-// its consumer has reached, not the run drawn ahead of it) plus the
-// ownership, retirement and partition state; a restore rewinds each stream
-// to its recorded position (reseed + fast-forward) and truncates the
-// per-node slices so workstations that joined after the snapshot vanish.
-// The pending fault timers themselves live in the engine's event queue and
-// are restored by the engine snapshot.
+// forking. Every fault stream's state is a value (see stream.go), so a
+// snapshot copies each stream (about 4.9 KB), the drop runs drawn ahead
+// with their calendar and period, the last drop set, and the ownership,
+// retirement and partition state; a restore copies them all back into the
+// live slices without allocating, and truncates the per-node slices so
+// workstations that joined after the snapshot vanish. The pending fault
+// timers themselves live in the engine's event queue and are restored by
+// the engine snapshot.
 
 // Snapshot captures the injector's mutable state.
 type Snapshot struct {
-	crashDraws  []uint64
-	dropDraws   []uint64
-	migDraws    uint64
-	domainDraws []uint64
-	partDraws   []uint64
+	crash  []stream
+	drop   []stream
+	mig    stream
+	domain []stream
+	part   []stream
+
+	runs       []dropRun
+	calendar   [calendarSlots]int32
+	period     uint64
+	dropped    []uint64
+	droppedIDs []int32
 
 	downBy      []downOwner
 	retired     []bool
@@ -26,55 +32,61 @@ type Snapshot struct {
 
 // Snapshot captures the mutable state.
 func (in *Injector) Snapshot() *Snapshot {
-	s := &Snapshot{
-		crashDraws:  make([]uint64, len(in.crashSrc)),
-		dropDraws:   make([]uint64, len(in.dropSrc)),
-		migDraws:    in.migSrc.Draws(),
+	return &Snapshot{
+		crash:       copyStreams(in.crashSrc),
+		drop:        append([]stream(nil), in.dropSrc...),
+		mig:         *in.migSrc,
+		domain:      copyStreams(in.domainSrc),
+		part:        copyStreams(in.partSrc),
+		runs:        append([]dropRun(nil), in.runs...),
+		calendar:    in.calendar,
+		period:      in.period,
+		dropped:     append([]uint64(nil), in.dropped...),
+		droppedIDs:  append([]int32(nil), in.droppedIDs...),
 		downBy:      append([]downOwner(nil), in.downBy...),
 		retired:     append([]bool(nil), in.retired...),
 		partitioned: append([]bool(nil), in.partitioned...),
 		started:     in.started,
 	}
-	for i, src := range in.crashSrc {
-		s.crashDraws[i] = src.Draws()
-	}
-	for i := range in.dropSrc {
-		s.dropDraws[i] = in.dropPosition(i)
-	}
-	if len(in.domainSrc) > 0 {
-		s.domainDraws = make([]uint64, len(in.domainSrc))
-		s.partDraws = make([]uint64, len(in.partSrc))
-		for d := range in.domainSrc {
-			s.domainDraws[d] = in.domainSrc[d].Draws()
-			s.partDraws[d] = in.partSrc[d].Draws()
-		}
-	}
-	return s
 }
 
-// Restore rewinds the injector to a prior Snapshot: each stream returns to
-// its recorded position and per-node state added by runtime joins after
-// the snapshot is truncated away. Domain count is fixed at construction.
+// copyStreams copies the streams srcs point at.
+func copyStreams(srcs []*stream) []stream {
+	out := make([]stream, len(srcs))
+	for i, src := range srcs {
+		out[i] = *src
+	}
+	return out
+}
+
+// Restore rewinds the injector to a prior Snapshot: every stream and the
+// drop state are copied back, and per-node state added by runtime joins
+// after the snapshot is truncated away. Domain count is fixed at
+// construction.
 func (in *Injector) Restore(s *Snapshot) {
-	n := len(s.crashDraws)
+	n := len(s.crash)
 	in.crashRNG = in.crashRNG[:n]
 	in.crashSrc = in.crashSrc[:n]
-	in.dropSrc = in.dropSrc[:n]
-	in.runs = in.runs[:n]
-	for i := 0; i < n; i++ {
-		in.crashSrc[i].Restore(s.crashDraws[i])
-		in.dropSrc[i].Restore(s.dropDraws[i])
+	for i, src := range in.crashSrc {
+		*src = s.crash[i]
 	}
-	in.migSrc.Restore(s.migDraws)
-	for d := range s.domainDraws {
-		in.domainSrc[d].Restore(s.domainDraws[d])
-		in.partSrc[d].Restore(s.partDraws[d])
+	in.dropSrc = append(in.dropSrc[:0], s.drop...)
+	*in.migSrc = s.mig
+	for d, src := range in.domainSrc {
+		*src = s.domain[d]
 	}
+	for d, src := range in.partSrc {
+		*src = s.part[d]
+	}
+	in.runs = append(in.runs[:0], s.runs...)
+	in.calendar = s.calendar
+	in.period = s.period
+	in.dropped = append(in.dropped[:0], s.dropped...)
+	in.droppedIDs = append(in.droppedIDs[:0], s.droppedIDs...)
 	in.downBy = append(in.downBy[:0], s.downBy...)
 	in.retired = append(in.retired[:0], s.retired...)
 	for d, on := range s.partitioned {
 		in.markPartitioned(d, on)
 	}
-	in.restoreDrops()
 	in.started = s.started
 }

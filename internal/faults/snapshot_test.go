@@ -37,7 +37,7 @@ type chaosHarness struct {
 
 func newChaosHarness(t *testing.T, nodes int) *chaosHarness {
 	t.Helper()
-	h := &chaosHarness{e: sim.NewEngine(3)}
+	h := &chaosHarness{e: sim.NewEngine()}
 	in, err := NewInjector(h.e, chaosPlan(), nodes, Hooks{
 		Crash:   func(id int) { h.log = append(h.log, fmt.Sprintf("%v crash %d", h.e.Now(), id)) },
 		Recover: func(id int) { h.log = append(h.log, fmt.Sprintf("%v recover %d", h.e.Now(), id)) },

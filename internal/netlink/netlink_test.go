@@ -13,7 +13,7 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(nil, 10); err == nil {
 		t.Error("nil engine should fail")
 	}
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	if _, err := New(e, 0); err == nil {
 		t.Error("zero bandwidth should fail")
 	}
@@ -30,7 +30,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestSingleTransferMatchesDedicated(t *testing.T) {
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	l, err := New(e, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +50,7 @@ func TestSingleTransferMatchesDedicated(t *testing.T) {
 }
 
 func TestTwoConcurrentTransfersShare(t *testing.T) {
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	l, err := New(e, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestTwoConcurrentTransfersShare(t *testing.T) {
 }
 
 func TestStaggeredTransfers(t *testing.T) {
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	l, err := New(e, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestStaggeredTransfers(t *testing.T) {
 }
 
 func TestZeroPayloadCompletesImmediately(t *testing.T) {
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	l, err := New(e, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestWorkConservationProperty(t *testing.T) {
 		if len(sizes) > 16 {
 			sizes = sizes[:16]
 		}
-		e := sim.NewEngine(1)
+		e := sim.NewEngine()
 		l, err := New(e, 10)
 		if err != nil {
 			return false
@@ -160,7 +160,7 @@ func TestOrderingProperty(t *testing.T) {
 	f := func(a, b uint8) bool {
 		small := float64(a%40) + 1
 		big := small + float64(b%40) + 1
-		e := sim.NewEngine(1)
+		e := sim.NewEngine()
 		l, err := New(e, 10)
 		if err != nil {
 			return false
@@ -181,7 +181,7 @@ func TestOrderingProperty(t *testing.T) {
 }
 
 func TestCancelMidFlightResettlesSurvivor(t *testing.T) {
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	l, err := New(e, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +220,7 @@ func TestCancelMidFlightResettlesSurvivor(t *testing.T) {
 }
 
 func TestCancelCompletedOrUnknownIsFalse(t *testing.T) {
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	l, err := New(e, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +239,7 @@ func TestCancelCompletedOrUnknownIsFalse(t *testing.T) {
 }
 
 func TestCancelLastTransferClearsPendingEvent(t *testing.T) {
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	l, err := New(e, 10)
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package runner
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -117,20 +118,21 @@ func TestMapEngineStress(t *testing.T) {
 		seeds[i] = int64(i + 1)
 	}
 	run := func(_ int, seed int64) (result, error) {
-		e := sim.NewEngine(seed)
+		e := sim.NewEngine()
+		rng := rand.New(rand.NewSource(seed))
 		events := 0
 		tk, err := sim.NewTicker(e, 10*time.Millisecond, func() { events++ })
 		if err != nil {
 			return result{}, err
 		}
 		for i := 0; i < 50; i++ {
-			d := time.Duration(e.Rand().Intn(1000)) * time.Millisecond
+			d := time.Duration(rng.Intn(1000)) * time.Millisecond
 			e.After(d, func() { events++ })
 		}
 		e.RunUntil(time.Second)
 		tk.Stop()
 		e.Run()
-		return result{events: events, now: e.Now(), draw: e.Rand().Int63()}, nil
+		return result{events: events, now: e.Now(), draw: rng.Int63()}, nil
 	}
 	seq, err := Map(1, seeds, run)
 	if err != nil {

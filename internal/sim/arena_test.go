@@ -24,7 +24,7 @@ type refEvent struct {
 func TestRandomInterleavingsMatchReferenceOrder(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
-		e := NewEngine(1)
+		e := NewEngine()
 
 		var ref []refEvent
 		var handles []Handle
@@ -101,7 +101,7 @@ func TestRandomInterleavingsMatchReferenceOrder(t *testing.T) {
 // the arena slot to the free list right away, not when the stale heap
 // entry is lazily popped.
 func TestCancelReleasesSlotImmediately(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	h := e.After(time.Hour, func() { t.Fatal("cancelled event fired") })
 	if e.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", e.Len())
@@ -140,7 +140,7 @@ func TestCancelReleasesSlotImmediately(t *testing.T) {
 // TestArenaStaysCompactUnderChurn checks that steady Schedule/Cancel/fire
 // churn recycles slots instead of growing the arena without bound.
 func TestArenaStaysCompactUnderChurn(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	rng := rand.New(rand.NewSource(7))
 	var pending []Handle
 	for i := 0; i < 10000; i++ {
@@ -170,7 +170,7 @@ func TestArenaStaysCompactUnderChurn(t *testing.T) {
 // re-arming from the callback must not accumulate rounding or ordering
 // drift.
 func TestTickerNoDriftLargeCounts(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	const period = 10 * time.Millisecond
 	const ticks = 500000
 	count := 0

@@ -1,8 +1,9 @@
 // Package sim implements the discrete-event simulation engine underlying the
-// cluster simulator: a virtual clock, a binary-heap event queue with
-// deterministic FIFO tie-breaking, and a seeded random source. All simulated
-// components schedule callbacks on an Engine; nothing in the simulator reads
-// the wall clock, so a run is fully determined by its inputs and seed.
+// cluster simulator: a virtual clock and a binary-heap event queue with
+// deterministic FIFO tie-breaking. All simulated components schedule
+// callbacks on an Engine; nothing in the simulator reads the wall clock, so
+// a run is fully determined by its inputs. The engine holds no randomness:
+// every random stream belongs to the component that draws from it.
 //
 // The queue is allocation-free in steady state: events live in a slot arena
 // recycled through a free list, the heap orders value entries (no per-event
@@ -13,7 +14,6 @@ package sim
 
 import (
 	"errors"
-	"math/rand"
 	"time"
 )
 
@@ -87,8 +87,6 @@ type Engine struct {
 	free    []int32
 	seq     uint64
 	live    int
-	src     *CountingSource
-	rng     *rand.Rand
 	stopped bool
 
 	// ceiling bounds clock advances while a RunToDivergence drive is in
@@ -98,18 +96,11 @@ type Engine struct {
 	hasCeiling bool
 }
 
-// NewEngine returns an engine with its clock at zero and a random source
-// seeded with seed.
-func NewEngine(seed int64) *Engine {
-	src := NewCountingSource(seed)
-	return &Engine{src: src, rng: rand.New(src)}
-}
+// NewEngine returns an engine with its clock at zero.
+func NewEngine() *Engine { return &Engine{} }
 
 // Now reports the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
-
-// Rand exposes the engine's deterministic random source.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // Len reports the number of scheduled, uncancelled events.
 func (e *Engine) Len() int { return e.live }

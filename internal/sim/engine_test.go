@@ -8,7 +8,7 @@ import (
 )
 
 func TestEngineStartsAtZero(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	if e.Now() != 0 {
 		t.Errorf("Now = %v, want 0", e.Now())
 	}
@@ -18,7 +18,7 @@ func TestEngineStartsAtZero(t *testing.T) {
 }
 
 func TestScheduleOrdering(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	var got []int
 	mustSchedule(t, e, 30*time.Millisecond, func() { got = append(got, 3) })
 	mustSchedule(t, e, 10*time.Millisecond, func() { got = append(got, 1) })
@@ -36,7 +36,7 @@ func TestScheduleOrdering(t *testing.T) {
 }
 
 func TestFIFOTieBreak(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
@@ -51,7 +51,7 @@ func TestFIFOTieBreak(t *testing.T) {
 }
 
 func TestSchedulePastFails(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	mustSchedule(t, e, time.Second, func() {})
 	e.Run()
 	if _, err := e.Schedule(500*time.Millisecond, func() {}); err != ErrClockRegression {
@@ -60,7 +60,7 @@ func TestSchedulePastFails(t *testing.T) {
 }
 
 func TestAfterClampsNegative(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	ran := false
 	e.After(-time.Second, func() { ran = true })
 	e.Run()
@@ -73,7 +73,7 @@ func TestAfterClampsNegative(t *testing.T) {
 }
 
 func TestCancel(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	ran := false
 	h := e.After(time.Second, func() { ran = true })
 	if !e.Cancel(h) {
@@ -92,7 +92,7 @@ func TestCancel(t *testing.T) {
 }
 
 func TestEventsScheduledDuringRun(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	var got []time.Duration
 	e.After(time.Second, func() {
 		got = append(got, e.Now())
@@ -105,7 +105,7 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 }
 
 func TestRunUntil(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	count := 0
 	for i := 1; i <= 5; i++ {
 		mustSchedule(t, e, time.Duration(i)*time.Second, func() { count++ })
@@ -127,7 +127,7 @@ func TestRunUntil(t *testing.T) {
 }
 
 func TestStop(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	count := 0
 	for i := 1; i <= 5; i++ {
 		mustSchedule(t, e, time.Duration(i)*time.Second, func() {
@@ -161,7 +161,7 @@ func TestStop(t *testing.T) {
 // Reset. This was the silent-reset bug — Run used to clear the flag on
 // entry.
 func TestStopBeforeRunIsSticky(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	ran := false
 	mustSchedule(t, e, time.Second, func() { ran = true })
 	e.Stop()
@@ -183,19 +183,11 @@ func TestStopBeforeRunIsSticky(t *testing.T) {
 	}
 }
 
-func TestDeterministicRand(t *testing.T) {
-	a := NewEngine(99).Rand().Int63()
-	b := NewEngine(99).Rand().Int63()
-	if a != b {
-		t.Errorf("same seed produced %d and %d", a, b)
-	}
-}
-
 // Property: for any set of delays, events execute in nondecreasing time
 // order and the clock never regresses.
 func TestMonotonicClockProperty(t *testing.T) {
 	f := func(delays []uint16) bool {
-		e := NewEngine(7)
+		e := NewEngine()
 		var times []time.Duration
 		for _, d := range delays {
 			at := time.Duration(d) * time.Millisecond
@@ -220,7 +212,7 @@ func TestMonotonicClockProperty(t *testing.T) {
 // uncancelled event.
 func TestCancelConservationProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
-		e := NewEngine(1)
+		e := NewEngine()
 		rng := rand.New(rand.NewSource(seed))
 		ran := make(map[int]int)
 		var handles []Handle
@@ -258,7 +250,7 @@ func TestCancelConservationProperty(t *testing.T) {
 }
 
 func TestTicker(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	var at []time.Duration
 	tk, err := NewTicker(e, time.Second, func() { at = append(at, e.Now()) })
 	if err != nil {
@@ -278,7 +270,7 @@ func TestTicker(t *testing.T) {
 }
 
 func TestTickerStopIdempotent(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	tk, err := NewTicker(e, time.Second, func() {})
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +284,7 @@ func TestTickerStopIdempotent(t *testing.T) {
 }
 
 func TestTickerRejectsNonPositivePeriod(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	if _, err := NewTicker(e, 0, func() {}); err == nil {
 		t.Error("zero period should error")
 	}
@@ -302,7 +294,7 @@ func TestTickerRejectsNonPositivePeriod(t *testing.T) {
 }
 
 func TestTickerStopFromCallback(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	count := 0
 	var tk *Ticker
 	tk, err := NewTicker(e, time.Second, func() {
@@ -327,7 +319,7 @@ func TestTickerStopFromCallback(t *testing.T) {
 // next tick; Stop must cancel it immediately rather than leaving it to
 // fire once more.
 func TestTickerStopFromCallbackCancelsRearmedTick(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	var tk *Ticker
 	count := 0
 	tk, err := NewTicker(e, time.Second, func() {

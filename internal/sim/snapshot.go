@@ -4,12 +4,11 @@ import "time"
 
 // EngineSnapshot is a deep copy of an engine's mutable state: the clock,
 // the event queue (heap order, arena slots with their callbacks and
-// generation stamps, free list), the sequence counter, the stop flag, and
-// the random stream position. Restoring it rewinds the engine in place —
-// the callbacks themselves are shared with the snapshot, which is exactly
-// right for fork-style reuse: closures captured during the shared prefix
-// point at simulation objects that the caller rewinds alongside the
-// engine.
+// generation stamps, free list), the sequence counter and the stop flag.
+// Restoring it rewinds the engine in place — the callbacks themselves are
+// shared with the snapshot, which is exactly right for fork-style reuse:
+// closures captured during the shared prefix point at simulation objects
+// that the caller rewinds alongside the engine.
 type EngineSnapshot struct {
 	now     time.Duration
 	heap    []heapEntry
@@ -18,7 +17,6 @@ type EngineSnapshot struct {
 	seq     uint64
 	live    int
 	stopped bool
-	draws   uint64
 }
 
 // Now reports the virtual time at which the snapshot was taken.
@@ -34,7 +32,6 @@ func (e *Engine) Snapshot() *EngineSnapshot {
 		seq:     e.seq,
 		live:    e.live,
 		stopped: e.stopped,
-		draws:   e.src.Draws(),
 	}
 }
 
@@ -51,5 +48,4 @@ func (e *Engine) Restore(s *EngineSnapshot) {
 	e.seq = s.seq
 	e.live = s.live
 	e.stopped = s.stopped
-	e.src.Restore(s.draws)
 }

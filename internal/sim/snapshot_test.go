@@ -1,86 +1,16 @@
 package sim
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 )
 
-// The counting source must be bit-identical to an unwrapped rand source:
-// Draws is only an exact stream position if every derived draw routes
-// through Int63 exactly as it would on rand.NewSource directly.
-func TestCountingSourceMatchesPlainSource(t *testing.T) {
-	counted := rand.New(NewCountingSource(42))
-	plain := rand.New(rand.NewSource(42))
-	for i := 0; i < 2000; i++ {
-		switch i % 5 {
-		case 0:
-			if a, b := counted.Int63(), plain.Int63(); a != b {
-				t.Fatalf("Int63 diverged at draw %d: %d vs %d", i, a, b)
-			}
-		case 1:
-			if a, b := counted.Float64(), plain.Float64(); a != b {
-				t.Fatalf("Float64 diverged at draw %d: %v vs %v", i, a, b)
-			}
-		case 2:
-			if a, b := counted.Intn(97), plain.Intn(97); a != b {
-				t.Fatalf("Intn diverged at draw %d: %d vs %d", i, a, b)
-			}
-		case 3:
-			if a, b := counted.ExpFloat64(), plain.ExpFloat64(); a != b {
-				t.Fatalf("ExpFloat64 diverged at draw %d: %v vs %v", i, a, b)
-			}
-		case 4:
-			if a, b := counted.NormFloat64(), plain.NormFloat64(); a != b {
-				t.Fatalf("NormFloat64 diverged at draw %d: %v vs %v", i, a, b)
-			}
-		}
-	}
-}
-
-// Restore must position the stream exactly draws past the seed, whether
-// rewinding or fast-forwarding, and the continuation must be identical.
-func TestCountingSourceRestore(t *testing.T) {
-	src := NewCountingSource(7)
-	rng := rand.New(src)
-	for i := 0; i < 100; i++ {
-		rng.Int63()
-	}
-	mark := src.Draws()
-	if mark == 0 {
-		t.Fatal("no draws counted")
-	}
-	var want []int64
-	for i := 0; i < 50; i++ {
-		want = append(want, rng.Int63())
-	}
-	// Rewind (draws decreases) and replay.
-	src.Restore(mark)
-	if src.Draws() != mark {
-		t.Fatalf("Draws after rewind = %d, want %d", src.Draws(), mark)
-	}
-	for i, w := range want {
-		if g := rng.Int63(); g != w {
-			t.Fatalf("rewound stream diverged at %d: %d vs %d", i, g, w)
-		}
-	}
-	// Fast-forward from a fresh source (draws increases).
-	fresh := NewCountingSource(7)
-	fresh.Restore(mark)
-	rng2 := rand.New(fresh)
-	for i, w := range want {
-		if g := rng2.Int63(); g != w {
-			t.Fatalf("fast-forwarded stream diverged at %d: %d vs %d", i, g, w)
-		}
-	}
-}
-
 // ScheduleClass must order same-instant events by (class, scheduling
 // order) regardless of scheduling sequence — the property fork-injected
 // tail arrivals rely on to win ties against held-open clock ticks.
 func TestScheduleClassOrdering(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	var got []string
 	at := 10 * time.Millisecond
 	e.ScheduleClass(at, ClassDiverge, func() { got = append(got, "d0") })
@@ -98,7 +28,7 @@ func TestScheduleClassOrdering(t *testing.T) {
 // RunToDivergence must execute everything strictly before at, plus the
 // sub-divergence classes at at, and leave divergence-class events pending.
 func TestRunToDivergence(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	var got []string
 	at := 20 * time.Millisecond
 	e.ScheduleClass(5*time.Millisecond, ClassDiverge, func() { got = append(got, "early-d") })
@@ -124,7 +54,7 @@ func TestRunToDivergence(t *testing.T) {
 // AdvanceTo is a pure clock move: backward is a regression, past a pending
 // event is a reorder, and anything up to the next event is fine.
 func TestAdvanceTo(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	e.Schedule(50*time.Millisecond, func() {})
 	if err := e.AdvanceTo(40 * time.Millisecond); err != nil {
 		t.Fatalf("advance to 40ms: %v", err)
@@ -147,7 +77,7 @@ func TestAdvanceTo(t *testing.T) {
 // scheduled after the snapshot vanish, and events that fired or were
 // cancelled after it are pending again — including stale-handle behavior.
 func TestEngineSnapshotRestore(t *testing.T) {
-	e := NewEngine(9)
+	e := NewEngine()
 	var got []string
 	logAt := func(tag string, at time.Duration) Handle {
 		h, err := e.Schedule(at, func() { got = append(got, tag) })
@@ -160,16 +90,13 @@ func TestEngineSnapshotRestore(t *testing.T) {
 	hb := logAt("b", 20*time.Millisecond)
 	logAt("c", 30*time.Millisecond)
 	e.RunUntil(15 * time.Millisecond)
-	for i := 0; i < 4; i++ {
-		e.Rand().Int63() // advance the stream so the snapshot holds a nonzero position
-	}
 
 	snap := e.Snapshot()
 	if snap.Now() != 15*time.Millisecond {
 		t.Fatalf("snapshot Now = %v", snap.Now())
 	}
 
-	// Diverge: cancel b, add d, run to completion, draw more randomness.
+	// Diverge: cancel b, add d, run to completion.
 	e.Cancel(hb)
 	logAt("d", 25*time.Millisecond)
 	e.Run()
@@ -177,9 +104,8 @@ func TestEngineSnapshotRestore(t *testing.T) {
 	if want := []string{"a", "d", "c"}; !reflect.DeepEqual(first, want) {
 		t.Fatalf("diverged run = %v, want %v", first, want)
 	}
-	firstDraw := e.Rand().Int63()
 
-	// Restore: b is pending again, d is gone, the RNG repeats.
+	// Restore: b is pending again, d is gone.
 	e.Restore(snap)
 	got = got[:0]
 	if e.Now() != 15*time.Millisecond {
@@ -191,7 +117,7 @@ func TestEngineSnapshotRestore(t *testing.T) {
 	}
 
 	// Restore again and replay the divergence: the same cancel + schedule
-	// must reproduce the first continuation bit for bit, RNG included.
+	// must reproduce the first continuation bit for bit.
 	e.Restore(snap)
 	got = got[:0]
 	e.Cancel(hb)
@@ -201,15 +127,12 @@ func TestEngineSnapshotRestore(t *testing.T) {
 	if !reflect.DeepEqual(got, first[1:]) {
 		t.Fatalf("replayed divergence = %v, want %v", got, first[1:])
 	}
-	if g := e.Rand().Int63(); g != firstDraw {
-		t.Fatalf("replayed RNG draw = %d, want %d", g, firstDraw)
-	}
 }
 
 // A ticker snapshot pairs with the engine snapshot: restoring both revives
 // the pending tick and the cadence continues from the saved instant.
 func TestTickerSnapshotRestore(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	var ticks []time.Duration
 	tk, err := NewTicker(e, 10*time.Millisecond, func() { ticks = append(ticks, e.Now()) })
 	if err != nil {

@@ -172,7 +172,6 @@ func oracleBlocking(t *testing.T, seed int64) (cluster.Config, *trace.Trace) {
 // domain waves every domainMTBF, and a script that joins a node at 5 min
 // and drains node 3 at 12 min and the joined node at 20 min.
 func oracleConfig(cfg cluster.Config, seed int64, domainMTBF time.Duration) cluster.Config {
-	cfg.Seed = 1
 	cfg.Quantum = 100 * time.Millisecond
 	cfg.SharedNetwork = true
 	cfg.Audit = true

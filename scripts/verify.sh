@@ -7,10 +7,10 @@
 # the seeded fault streams), the steady-state zero-allocation guard runs
 # without the race detector, the quantum fold is fuzzed against dense ticks
 # for 20 s and its resume across status mutations for 10 s, the phase
-# cursor against MemoryDemandAtMB for 10 s and the fault injector's drop
-# runs against one draw per period for 10 s, the benchmark module's tests
-# (bench/) check
-# its result goldens, a vrsim run with every fault dimension
+# cursor against MemoryDemandAtMB for 10 s, the fault injector's drop
+# runs against one draw per period, its streams against math/rand and its
+# plan validation for 10 s each, the benchmark module's tests (bench/)
+# check its result goldens, a vrsim run with every fault dimension
 # enabled smoke-tests self-healing end to end, a level-1 chaos grid
 # (membership churn + domain faults, invariant auditor on) must complete
 # with zero violations, the forked seed and what-if grids run once, and
@@ -48,11 +48,19 @@ go test ./internal/node -run '^$' -fuzz FuzzFoldResume -fuzztime 10s
 # DemandAt bit-identical to MemoryDemandAtMB on drawn profiles.
 echo "== go test ./internal/job -fuzz FuzzSegmentAt (10 s)"
 go test ./internal/job -run '^$' -fuzz FuzzSegmentAt -fuzztime 10s
-# The fault injector's drop runs: the same answers, and the same snapshot
-# positions, as one Float64 per node per period, across partitions,
-# retirements, joins and snapshot/restore.
+# The fault injector's drop runs: the same answers as one Float64 per
+# node per period, across partitions, retirements, joins and
+# snapshot/restore.
 echo "== go test ./internal/faults -fuzz FuzzDropRefresh (10 s)"
 go test ./internal/faults -run '^$' -fuzz FuzzDropRefresh -fuzztime 10s
+# The fault streams' by-value generator: the same Int63s as math/rand's
+# source for any seed, and a copied value replays them.
+echo "== go test ./internal/faults -fuzz FuzzStream (10 s)"
+go test ./internal/faults -run '^$' -fuzz FuzzStream -fuzztime 10s
+# Fault plans: Validate rejects or is idempotent, and a validated plan
+# starts an injector without panicking.
+echo "== go test ./internal/faults -fuzz FuzzPlanValidate (10 s)"
+go test ./internal/faults -run '^$' -fuzz FuzzPlanValidate -fuzztime 10s
 # bench/ is its own module, so go test ./... above does not reach it. Its
 # goldens pin the result digests of all four benchmark workloads at seeds
 # 42 and 7.
