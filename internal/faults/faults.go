@@ -466,8 +466,19 @@ func (in *Injector) Start() {
 	}
 }
 
+// expDelay draws an exponential delay with the given mean. A draw past
+// the largest Duration (about 292 years) saturates there: converted as
+// is, it would wrap negative, and the engine would fire the fault at once.
+func expDelay(r *rand.Rand, mean time.Duration) time.Duration {
+	d := r.ExpFloat64() * float64(mean)
+	if d >= math.MaxInt64 { // 2^63 as a float64
+		return math.MaxInt64
+	}
+	return time.Duration(d)
+}
+
 func (in *Injector) armCrash(id int) {
-	d := time.Duration(in.crashRNG[id].ExpFloat64() * float64(in.plan.MTBF))
+	d := expDelay(in.crashRNG[id], in.plan.MTBF)
 	in.engine.After(d, func() {
 		// A retired workstation's chain dies here: the pending timer
 		// fires into a no-op and nothing re-arms.
@@ -493,7 +504,7 @@ func (in *Injector) armCrash(id int) {
 }
 
 func (in *Injector) armRecover(id int) {
-	d := time.Duration(in.crashRNG[id].ExpFloat64() * float64(in.plan.MTTR))
+	d := expDelay(in.crashRNG[id], in.plan.MTTR)
 	in.engine.After(d, func() {
 		if in.retired[id] {
 			return
@@ -516,7 +527,7 @@ func (in *Injector) armRecover(id int) {
 // already down crashes together, the wave repairs them together, and the
 // repair arms the next wave.
 func (in *Injector) armDomainCrash(d int) {
-	wait := time.Duration(in.domainRNG[d].ExpFloat64() * float64(in.plan.DomainMTBF))
+	wait := expDelay(in.domainRNG[d], in.plan.DomainMTBF)
 	in.engine.After(wait, func() {
 		members := in.members(d)
 		if in.tr != nil {
@@ -544,7 +555,7 @@ func (in *Injector) armDomainCrash(d int) {
 // wave took down (nodes crashed by their own chains repair on their own
 // schedule).
 func (in *Injector) armDomainRepair(d int) {
-	wait := time.Duration(in.domainRNG[d].ExpFloat64() * float64(in.plan.DomainMTTR))
+	wait := expDelay(in.domainRNG[d], in.plan.DomainMTTR)
 	in.engine.After(wait, func() {
 		members := in.members(d)
 		if in.tr != nil {
@@ -572,7 +583,7 @@ func (in *Injector) armDomainRepair(d int) {
 // goes dark (refreshes silenced, transfers aborted via the hook) without
 // crashing anyone, heals after the partition MTTR, and re-arms.
 func (in *Injector) armPartition(d int) {
-	wait := time.Duration(in.partRNG[d].ExpFloat64() * float64(in.plan.PartitionMTBF))
+	wait := expDelay(in.partRNG[d], in.plan.PartitionMTBF)
 	in.engine.After(wait, func() {
 		members := in.members(d)
 		in.setPartitioned(d, true)
@@ -584,7 +595,7 @@ func (in *Injector) armPartition(d int) {
 		if in.hooks.PartitionStart != nil {
 			in.hooks.PartitionStart(d, members)
 		}
-		heal := time.Duration(in.partRNG[d].ExpFloat64() * float64(in.plan.PartitionMTTR))
+		heal := expDelay(in.partRNG[d], in.plan.PartitionMTTR)
 		in.engine.After(heal, func() {
 			in.setPartitioned(d, false)
 			if in.tr != nil {

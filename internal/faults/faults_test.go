@@ -1,7 +1,9 @@
 package faults
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -264,5 +266,47 @@ func TestInactiveDrawsAreStable(t *testing.T) {
 	}
 	if abort, _ := in.AbortMigration(); abort {
 		t.Error("inactive abort rate must never abort")
+	}
+}
+
+// TestCenturiesApartFaultsWait: with every mean at 200 years, about a
+// quarter of the exponential draws exceed the largest Duration (about 292
+// years). They must saturate, not wrap negative and fire at once, so
+// nothing crashes or partitions in the first simulated hour.
+func TestCenturiesApartFaultsWait(t *testing.T) {
+	const years200 = 200 * 365 * 24 * time.Hour
+	e := sim.NewEngine()
+	var fired []string
+	in, err := NewInjector(e, Plan{
+		Seed:          11,
+		MTBF:          years200,
+		Domains:       4,
+		DomainMTBF:    years200,
+		PartitionMTBF: years200,
+	}, 64, Hooks{
+		Crash:          func(id int) { fired = append(fired, fmt.Sprintf("crash %d at %v", id, e.Now())) },
+		PartitionStart: func(d int, _ []int) { fired = append(fired, fmt.Sprintf("partition %d at %v", d, e.Now())) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.Start()
+	e.RunUntil(time.Hour)
+	if len(fired) > 0 {
+		t.Errorf("%d faults in the first hour, first %s", len(fired), fired[0])
+	}
+	saturated := 0
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		d := expDelay(r, years200)
+		if d < 0 {
+			t.Fatalf("draw %d: negative delay %v", i, d)
+		}
+		if d == math.MaxInt64 {
+			saturated++
+		}
+	}
+	if saturated == 0 {
+		t.Error("no draw of 1000 saturated; the test no longer reaches the overflow")
 	}
 }

@@ -242,24 +242,26 @@ func referenceQuantile(l Lognormal, p float64) float64 {
 // at 1, one half, and the largest float64 below 1.
 var quantileEdges = []float64{5e-324, 1e-300, 1e-17, 0.5, 1 - 0x1p-53}
 
+// traceDists are the distributions the trace generator samples, as
+// (sigma = mu, upper bound in minutes): the five standard levels and the
+// sigma = mu = 2 and 3 custom configurations.
+var traceDists = []struct {
+	sigma, upper float64
+}{
+	{4, 3586.0 / 60},
+	{3.7, 3589.0 / 60},
+	{3, 3581.0 / 60},
+	{2, 3585.0 / 60},
+	{1.5, 3582.0 / 60},
+	{2, 5},
+	{3, 30},
+}
+
 // TestQuantileMatchesReference checks Quantile bit for bit against the
-// 200-step reference on every distribution the trace generator samples:
-// the five standard levels (sigma = mu, truncated at the level's window
-// in minutes) and the sigma = mu = 2 and 3 custom configurations.
+// 200-step reference on every distribution the trace generator samples.
 func TestQuantileMatchesReference(t *testing.T) {
-	cases := []struct {
-		sigma, upper float64
-	}{
-		{4, 3586.0 / 60},
-		{3.7, 3589.0 / 60},
-		{3, 3581.0 / 60},
-		{2, 3585.0 / 60},
-		{1.5, 3582.0 / 60},
-		{2, 5},
-		{3, 30},
-	}
 	const draws = 10000
-	for _, c := range cases {
+	for _, c := range traceDists {
 		l := Lognormal{Mu: c.sigma, Sigma: c.sigma}
 		cu := l.CDF(c.upper)
 		rng := rand.New(rand.NewSource(1))
@@ -308,6 +310,21 @@ func FuzzQuantile(f *testing.F) {
 	f.Add(1.0, math.Inf(1), 0.5)
 	f.Add(math.Inf(-1), 1.0, 0.5)
 	f.Add(1.0, 1.0, math.NaN())
+	// Where the certified window falls back to the open one, or its
+	// construction meets an edge: a step-like CDF, roots beyond exp(±690),
+	// a subnormal p, sigma at both ends of the accepted range, the p at
+	// which the Newton step starts, and one where it overshoots the root
+	// by about 500 window widths, so that the upper certificate needs
+	// three widenings.
+	f.Add(1.0, 1e-300, 0.5)
+	f.Add(700.0, 1.0, 0.5)
+	f.Add(-700.0, 1.0, 0.5)
+	f.Add(2.0, 2.0, 1e-310)
+	f.Add(0.0, 1.0, 1-0x1p-53)
+	f.Add(0.0, 0x1p-500, 0.3)
+	f.Add(0.0, 0x1p500, 0.3)
+	f.Add(3.0, 3.0, 1.0/16)
+	f.Add(2.0, 1.0, 1.321071914102982e-13)
 	f.Fuzz(func(t *testing.T, mu, sigma, p float64) {
 		l := Lognormal{Mu: mu, Sigma: sigma}
 		got, want := l.Quantile(p), referenceQuantile(l, p)
@@ -321,8 +338,9 @@ func TestSampleTruncated(t *testing.T) {
 	l := Lognormal{Mu: 4, Sigma: 4}
 	rng := rand.New(rand.NewSource(1))
 	upper := 3586.0
+	tr := l.Truncate(upper)
 	for i := 0; i < 1000; i++ {
-		v := l.SampleTruncated(rng, upper)
+		v := tr.Sample(rng)
 		if v <= 0 || v > upper {
 			t.Fatalf("truncated sample %v out of (0, %v]", v, upper)
 		}
@@ -339,7 +357,7 @@ func TestSampleTruncatedFarTail(t *testing.T) {
 			l := Lognormal{Mu: mu, Sigma: sigma}
 			for _, upper := range []float64{1, 600, 3586} {
 				for i := 0; i < 50; i++ {
-					if v := l.SampleTruncated(rng, upper); !(v > 0 && v <= upper) {
+					if v := l.Truncate(upper).Sample(rng); !(v > 0 && v <= upper) {
 						t.Fatalf("Lognormal{%v, %v}: truncated sample %v out of (0, %v]", mu, sigma, v, upper)
 					}
 				}

@@ -105,17 +105,16 @@ func Generate(cfg Config) (*Trace, error) {
 		programs = filtered
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	dist := stats.Lognormal{Mu: cfg.Mu, Sigma: cfg.Sigma}
 	// The lognormal rate function's time axis is read in minutes: with
 	// the published mu = sigma values this spreads the light traces over
 	// the whole hour-long window while concentrating the intensive
 	// traces into an opening burst, matching the light-to-highly-
 	// intensive labels of the five published traces.
-	upper := cfg.Duration.Minutes()
+	dist := stats.Lognormal{Mu: cfg.Mu, Sigma: cfg.Sigma}.Truncate(cfg.Duration.Minutes())
 
 	times := make([]float64, cfg.Jobs)
 	for i := range times {
-		times[i] = dist.SampleTruncated(rng, upper) * 60
+		times[i] = dist.Sample(rng) * 60
 	}
 	sort.Float64s(times)
 

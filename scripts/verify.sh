@@ -61,6 +61,14 @@ go test ./internal/faults -run '^$' -fuzz FuzzStream -fuzztime 10s
 # starts an injector without panicking.
 echo "== go test ./internal/faults -fuzz FuzzPlanValidate (10 s)"
 go test ./internal/faults -run '^$' -fuzz FuzzPlanValidate -fuzztime 10s
+# The lognormal quantile's certified window: bit for bit the 200-step
+# bisection for any mu, sigma and p.
+echo "== go test ./internal/stats -fuzz FuzzQuantile (10 s)"
+go test ./internal/stats -run '^$' -fuzz FuzzQuantile -fuzztime 10s
+# The trace decoder: never panics, and what it accepts survives an
+# Encode/Decode round trip and materializes into jobs or an error.
+echo "== go test ./internal/trace -fuzz FuzzTraceDecode (10 s)"
+go test ./internal/trace -run '^$' -fuzz FuzzTraceDecode -fuzztime 10s
 # bench/ is its own module, so go test ./... above does not reach it. Its
 # goldens pin the result digests of all four benchmark workloads at seeds
 # 42 and 7.
