@@ -12,6 +12,7 @@ import (
 	"vrcluster/internal/cluster"
 	"vrcluster/internal/core"
 	"vrcluster/internal/faults"
+	"vrcluster/internal/job"
 	"vrcluster/internal/memory"
 	"vrcluster/internal/node"
 	"vrcluster/internal/obs"
@@ -96,6 +97,69 @@ func BenchmarkNodeTick(b *testing.B) {
 		if _, err := n.Tick(dt, now); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkNodeFold measures the quantum fold one layer down from the
+// cluster: each operation rewinds a four-job workstation and folds the
+// next foldQuanta quanta at a 10 ms quantum, in one regime of
+// foldEnd.advance per sub-benchmark. steady holds flat jobs below user
+// memory (one steady run); unpressured-ramp adds two ramping jobs below it
+// (ramp runs that step only those two); pressured puts the same mix above
+// it, so every tick is made in full. ns/quantum divides out the stretch.
+func BenchmarkNodeFold(b *testing.B) {
+	const foldQuanta = 1000
+	flat := func(mb float64) []job.Phase { return []job.Phase{{EndFrac: 1, StartMB: mb, EndMB: mb}} }
+	ramp := func(from, to float64) []job.Phase {
+		return []job.Phase{{EndFrac: 0.5, StartMB: from, EndMB: to}, {EndFrac: 1, StartMB: to, EndMB: to}}
+	}
+	for _, c := range []struct {
+		name   string
+		memMB  float64
+		phases [][]job.Phase
+	}{
+		{"steady", 384, [][]job.Phase{flat(60), flat(80), flat(40), flat(70)}},
+		{"unpressured-ramp", 384, [][]job.Phase{flat(60), ramp(40, 120), flat(40), ramp(90, 30)}},
+		{"pressured", 200, [][]job.Phase{flat(60), ramp(40, 120), flat(40), ramp(90, 30)}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			n, err := node.New(node.Config{CPUSpeedMHz: 400, CPUThreshold: 4,
+				Memory: memory.Config{CapacityMB: c.memMB, UserFraction: 1}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			jobs := make([]*job.Job, len(c.phases))
+			for i, ph := range c.phases {
+				if jobs[i], err = job.New(i, "fold", time.Hour, ph, 0); err != nil {
+					b.Fatal(err)
+				}
+				if err := n.Admit(jobs[i], 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			dt := 10 * time.Millisecond
+			if _, err := n.Tick(dt, dt); err != nil {
+				b.Fatal(err)
+			}
+			if n.Pressured() != (c.name == "pressured") {
+				b.Fatalf("%s: node pressured=%v", c.name, n.Pressured())
+			}
+			snap, js := n.Snapshot(), make([]job.Snapshot, len(jobs))
+			for i, j := range jobs {
+				js[i] = j.Snapshot()
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n.Restore(snap)
+				for k, j := range jobs {
+					j.Restore(js[k])
+				}
+				if err := n.Fold(dt, 2*dt, foldQuanta); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/foldQuanta, "ns/quantum")
+		})
 	}
 }
 

@@ -168,6 +168,10 @@ func (c *Config) Validate() error {
 	if err := c.Autoscale.validate(len(c.Nodes)); err != nil {
 		return err
 	}
+	// Every failure domain holds streams of its own, so a domain count past
+	// the most workstations the run can hold at once is refused before the
+	// injector allocates them.
+	most := max(len(c.Nodes), c.Autoscale.MaxNodes)
 	for i, ev := range c.Membership {
 		if ev.At < 0 {
 			return fmt.Errorf("cluster: membership event %d at negative time %v", i, ev.At)
@@ -175,6 +179,12 @@ func (c *Config) Validate() error {
 		if ev.Kind != MemberJoin && ev.Kind != MemberDrain {
 			return fmt.Errorf("cluster: membership event %d has unknown kind %d", i, ev.Kind)
 		}
+		if ev.Kind == MemberJoin {
+			most++
+		}
+	}
+	if c.Faults.Domains > most {
+		return fmt.Errorf("cluster: %d failure domains for at most %d workstations", c.Faults.Domains, most)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -82,6 +83,42 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := c.Node(5); err == nil {
 		t.Error("out-of-range node should fail")
+	}
+}
+
+// TestConfigRejectsExcessDomains requires a fault plan with more failure
+// domains than the run can hold workstations to fail in New, before the
+// injector allocates a stream pair per domain.
+func TestConfigRejectsExcessDomains(t *testing.T) {
+	cfg := smallCluster(4, 100, 4)
+	cfg.Faults = faults.Plan{DropRate: 0.1, Domains: 1_000_000}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := cluster.New(cfg, policy.NoSharing{})
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a million failure domains on 4 workstations should fail")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("rejecting the plan allocated %d bytes", grew)
+	}
+	// Autoscaling and scripted joins raise the bound.
+	cfg.Faults.Domains = 6
+	if _, err := cluster.New(cfg, policy.NoSharing{}); err == nil {
+		t.Error("6 failure domains on 4 workstations should fail")
+	}
+	scaled := cfg
+	scaled.Autoscale = cluster.AutoscaleConfig{MaxNodes: 6, Proto: cfg.Nodes[0]}
+	if _, err := cluster.New(scaled, policy.NoSharing{}); err != nil {
+		t.Errorf("6 failure domains under a 6-node autoscaler: %v", err)
+	}
+	joined := cfg
+	joined.Membership = []cluster.MembershipEvent{
+		{At: time.Minute, Kind: cluster.MemberJoin, Node: cfg.Nodes[0]},
+		{At: time.Minute, Kind: cluster.MemberJoin, Node: cfg.Nodes[0]},
+	}
+	if _, err := cluster.New(joined, policy.NoSharing{}); err != nil {
+		t.Errorf("6 failure domains on 4 workstations and 2 scripted joins: %v", err)
 	}
 }
 

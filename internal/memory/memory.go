@@ -377,6 +377,21 @@ func (r *Replay) Step(oldMB, newMB float64) {
 	}
 }
 
+// UserMB reports the user memory the cursor's total is compared against.
+func (r *Replay) UserMB() float64 { return r.user }
+
+// SetUnpressured moves an unpressured cursor to total, the end of a chain
+// of Steps the caller accumulated itself (total += new - old, in order)
+// whose every intermediate total lay in [0, UserMB]: along such a chain no
+// Step re-evaluates the pressure terms, so only the total moves. The
+// cursor is left as the last Step would have left it.
+func (r *Replay) SetUnpressured(total float64) {
+	r.total = total
+	if r.total < 0 || r.total > r.user || r.pressured {
+		r.eval()
+	}
+}
+
 // SetRemoteBacking makes page faults hit remote idle memory over the
 // network at the given per-page service time instead of the local swap
 // disk. A nonpositive service restores disk paging.

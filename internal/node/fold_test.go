@@ -185,6 +185,8 @@ func TestFoldRegimes(t *testing.T) {
 		k     int64
 		flips int // pressure transitions the stretch must pass, at least
 		check func(t *testing.T, n *Node)
+		// stretch, when set, picks k from a probe twin instead.
+		stretch func(t *testing.T, probe *Node) int64
 	}{
 		{
 			name: "unpressured to pressured",
@@ -257,6 +259,75 @@ func TestFoldRegimes(t *testing.T) {
 			check: pressuredPast(1, 0.04),
 		},
 		{
+			// Unpressured and without I/O, so the ramps fold as ramp runs,
+			// but the total sits 0.001 MB below user memory while each
+			// tick's first step (the middle job's) lifts it past by more
+			// and the last step brings it back. A tick with the crossing
+			// inside it is made in full: the last job accrues faults
+			// although no tick ends pressured.
+			name: "ramp run crossing user memory at a middle job",
+			jobs: []admit{
+				{cpu: time.Minute, phases: flat(39.999)},
+				{cpu: time.Minute, phases: ramp(10, 50, 0.5)},
+				{cpu: time.Minute, phases: ramp(50, 10, 0.5)},
+			},
+			warm: 1, now: 2 * q, k: 2000,
+			check: func(t *testing.T, n *Node) {
+				if n.Pressured() || n.Faults() == 0 {
+					t.Fatalf("stretch should fault inside its ticks yet end unpressured: pressured=%v faults=%v",
+						n.Pressured(), n.Faults())
+				}
+			},
+		},
+		{
+			// metis's ranged profile below user memory: the falling ramp's
+			// run ends where its cursor does, and the rising one's next.
+			name: "unpressured falling ramp ending at a cursor exit",
+			jobs: []admit{
+				{cpu: time.Minute, phases: flat(20)},
+				{cpu: time.Minute, phases: []job.Phase{
+					{EndFrac: 0.02, StartMB: 60, EndMB: 20},
+					{EndFrac: 0.04, StartMB: 20, EndMB: 55},
+					{EndFrac: 1, StartMB: 55, EndMB: 55},
+				}},
+			},
+			warm: 1, now: 2 * q, k: 1000,
+			check: func(t *testing.T, n *Node) {
+				if p := n.JobAt(1).Progress(); n.Pressured() || n.Faults() != 0 || p <= 0.04 {
+					t.Fatalf("stretch should stay unpressured past progress 0.04: pressured=%v faults=%v progress=%v",
+						n.Pressured(), n.Faults(), p)
+				}
+			},
+		},
+		{
+			// The stretch ends on the last tick the ramp's cursor covers,
+			// so the ramp run's cursor bound and the stretch end coincide.
+			name: "ramp run ending exactly at k",
+			jobs: []admit{
+				{cpu: time.Minute, phases: flat(20)},
+				{cpu: time.Minute, phases: ramp(10, 40, 0.3)},
+			},
+			warm: 1, now: 2 * q,
+			stretch: func(t *testing.T, probe *Node) int64 {
+				until, k := probe.cursor[1].Until, int64(0)
+				for now := 2 * q; ; now += q {
+					if _, err := probe.Tick(q, now); err != nil {
+						t.Fatal(err)
+					}
+					if probe.JobAt(1).CPUDone() > until {
+						return k
+					}
+					k++
+				}
+			},
+			check: func(t *testing.T, n *Node) {
+				if n.cursor[1].Flat() || !n.cursor[1].Covers(n.JobAt(1).CPUDone()) {
+					t.Fatalf("stretch should end inside the ramp's cursor: %+v at service %v",
+						n.cursor[1], n.JobAt(1).CPUDone())
+				}
+			},
+		},
+		{
 			// A one-quantum stretch leaves a migrant that landed at its
 			// instant untouched.
 			name: "migrant landing at the only tick",
@@ -294,6 +365,9 @@ func TestFoldRegimes(t *testing.T) {
 			}
 			dense, folded := mk(), mk()
 			requireSameState(t, dense, folded, "before the stretch")
+			if c.stretch != nil {
+				c.k = c.stretch(t, mk())
+			}
 			if floor := dense.CompletionFloor(q, c.k); floor != c.k {
 				t.Fatalf("completion floor %d below the case's stretch %d", floor, c.k)
 			}

@@ -159,6 +159,9 @@ type Node struct {
 	foldEnd foldEnd
 	foldIDs []int
 
+	// ramps is advance's scratch for a ramp run.
+	ramps []rampJob
+
 	// ceiling is progressCeiling's last result, cpu, for quantum length dt
 	// and jobs residents; it derives from the configuration alone.
 	ceiling struct {
@@ -1147,18 +1150,27 @@ func (n *Node) Fold(dt, now time.Duration, k int64) error {
 // Tick's per-tick, per-job order on the replay cursor: each tick reads its
 // stall and cache miss from the cursor's total, each job accrues faults
 // against the total as the earlier jobs of that tick left it, and a job
-// whose demand moves steps the cursor. Each tick is one pass over the
-// jobs; on a tick whose quantum moved, each job closes its old charge and
-// takes the new one in that same pass. While the stall and cache miss
-// stand still every tick charges each job the same amounts, so the integer
-// sums are multiplies; and while every job sits inside a flat phase cursor
-// the total stands still too, so whole runs of ticks fold at once, up to
-// the first cursor's end, replaying only the page-fault float sum add by
-// add (it is order-dependent), and only while pressured. A flat phase is
-// one long run, a ramp a chain of single ticks that step their demand on
-// the job's cursor, and a pressure crossing in either direction just
-// another total for the next tick to read. The pressure watcher sees one
-// notification for the whole stretch: it only records the latest state.
+// whose demand moves steps the cursor. While the stall and cache miss stand
+// still every tick charges each job the same amounts, so the integer sums
+// are multiplies, and the ticks before the first job leaves its phase
+// cursor fold as one run. There are three regimes:
+//
+//   - In a steady run every job sits inside a flat cursor, so the total
+//     stands still too; only the page-fault float sum is replayed add by
+//     add (it is order-dependent), and only while pressured.
+//   - In a ramp run some job ramps, but the total starts below user memory
+//     and no resident is I/O-active, so the stall and cache miss stay zero
+//     while the total stays in [0, user]; each tick steps only the ramping
+//     jobs' demands (rampRun).
+//   - A full tick is one pass over the jobs; on a tick whose quantum moved,
+//     each job closes its old charge and takes the new one in that same
+//     pass. It is the only per-tick fallback and covers every regime, the
+//     first tick of a ramp run that would leave [0, user] included: a
+//     pressure crossing in either direction is just another total for the
+//     next tick to read.
+//
+// The pressure watcher sees one notification for the whole stretch: it
+// only records the latest state.
 //
 // It adds the stretch's faults to the node's and reports seg, the ticks
 // made at the final charges. partial reports a rebuild that credits some
@@ -1170,22 +1182,31 @@ func (e *foldEnd) advance(n *Node, fold []foldJob, k int64, partial bool) (seg i
 	// seg counts the ticks made at the current charges, so a job's CPU
 	// service is its done plus seg of its charge; stale marks charges that
 	// no longer match q, and steady that the last tick left every job
-	// inside a flat cursor, so a run can fold.
+	// inside a flat cursor. Charges are current only after a tick that
+	// progressed every job (the partial first tick is always followed by a
+	// stale one), so then every cursor covers its job's service.
 	stale, steady := e.stale, e.steady
 	for t := int64(0); t < k; {
-		if steady && !stale {
-			// Fold the run of ticks before the first job leaves its cursor.
-			run := k - t
+		if !stale && (steady || !io && !rep.Pressured()) {
+			// Fold the run of ticks before the first job leaves its
+			// cursor, collecting the ramping jobs on the way.
+			run, ramps := k-t, n.ramps[:0]
 			for i := range fold {
-				// A job in its final flat phase cannot leave it before it
+				// A job in its final phase cannot leave it before it
 				// completes, which the stretch rules out.
 				f := &fold[i]
 				if cpu := f.charge.cpu; cpu > 0 && f.cursor.Until < f.j.CPUDemand {
 					run = min(run, int64((f.cursor.Until-f.done)/cpu)-seg)
 				}
+				if !f.cursor.Flat() {
+					ramps = append(ramps, rampJob{f: f, svc: f.done + f.charge.cpu*time.Duration(seg)})
+				}
 			}
+			n.ramps = ramps
 			if run > 0 {
-				if rep.Pressured() {
+				if len(ramps) > 0 {
+					run = rampRun(ramps, rep, run)
+				} else if rep.Pressured() {
 					fr := rep.FaultRate()
 					for r := int64(0); r < run; r++ {
 						for i := range fold {
@@ -1249,4 +1270,46 @@ func (e *foldEnd) advance(n *Node, fold []foldJob, k int64, partial bool) (seg i
 	}
 	e.q, e.rep, e.stale, e.steady, n.faults = qv, repv, stale, steady, faults
 	return seg
+}
+
+// rampJob is one ramping job in a ramp run: its fold entry, its CPU
+// service at the last tick made, and its demand a tick on.
+type rampJob struct {
+	f    *foldJob
+	svc  time.Duration
+	next float64
+}
+
+// rampRun makes up to run ticks of a ramp run from an unpressured cursor
+// and reports how many it made. Each tick evaluates the ramping jobs'
+// demands a tick on and accumulates their moves in fold order, as Step
+// does; a tick commits only if every intermediate total stays in [0, user],
+// where no Step would re-evaluate the pressure terms and so the quantum
+// holds. The first tick that would leave that range is left for a full
+// tick. Flat jobs neither step nor leave their cursors inside the run, and
+// no faults accrue below user memory.
+func rampRun(ramps []rampJob, rep *memory.Replay, run int64) int64 {
+	total, user := rep.Total(), rep.UserMB()
+	r := int64(0)
+ticks:
+	for ; r < run; r++ {
+		tot := total
+		for x := range ramps {
+			p := &ramps[x]
+			f := p.f
+			if p.next = f.cursor.DemandAt(p.svc + f.charge.cpu); p.next != f.demand {
+				if tot += p.next - f.demand; tot < 0 || tot > user {
+					break ticks
+				}
+			}
+		}
+		total = tot
+		for x := range ramps {
+			p := &ramps[x]
+			p.svc += p.f.charge.cpu
+			p.f.demand = p.next
+		}
+	}
+	rep.SetUnpressured(total)
+	return r
 }

@@ -14,6 +14,7 @@ package sim
 
 import (
 	"errors"
+	"math"
 	"time"
 )
 
@@ -136,12 +137,17 @@ func (e *Engine) ScheduleClass(at time.Duration, class uint8, fn func()) (Handle
 }
 
 // After runs fn after delay d from the current virtual time. Negative delays
-// are clamped to zero.
+// are clamped to zero, and a delay reaching past the last representable
+// instant schedules fn there (math.MaxInt64) rather than wrapping.
 func (e *Engine) After(d time.Duration, fn func()) Handle {
+	at := time.Duration(math.MaxInt64)
 	if d < 0 {
 		d = 0
 	}
-	h, _ := e.Schedule(e.now+d, fn) // future by construction; cannot fail
+	if d <= at-e.now {
+		at = e.now + d
+	}
+	h, _ := e.Schedule(at, fn) // future by construction; cannot fail
 	return h
 }
 

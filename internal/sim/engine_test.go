@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -69,6 +70,23 @@ func TestAfterClampsNegative(t *testing.T) {
 	}
 	if e.Now() != 0 {
 		t.Errorf("clock moved to %v for a clamped event", e.Now())
+	}
+}
+
+// TestAfterSaturates schedules a delay that would wrap past the last
+// representable instant: After must keep the event, at math.MaxInt64.
+func TestAfterSaturates(t *testing.T) {
+	e := NewEngine()
+	e.RunUntil(time.Hour)
+	h := e.After(math.MaxInt64, func() {})
+	if h == (Handle{}) || e.Len() != 1 {
+		t.Fatalf("After(MaxInt64) at %v: handle %+v, %d events pending; want a live handle and 1", e.Now(), h, e.Len())
+	}
+	if at, ok := e.peek(); !ok || at != math.MaxInt64 {
+		t.Fatalf("event due at %v (pending %v), want %v", at, ok, time.Duration(math.MaxInt64))
+	}
+	if !e.Cancel(h) {
+		t.Fatal("saturated event could not be cancelled")
 	}
 }
 

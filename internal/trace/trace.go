@@ -302,8 +302,14 @@ func (t *Trace) Duration() time.Duration {
 	return time.Duration(t.DurationMillis) * time.Millisecond
 }
 
+// maxWorkingSetMB bounds an item's working set: a petabyte, far past any
+// workstation the simulator models, and small enough that the summed
+// demands of any number of resident jobs stay finite.
+const maxWorkingSetMB = 1 << 30
+
 // Validate checks internal consistency: sorted submissions within the
-// window, known programs, and home nodes within range.
+// window, known programs, home nodes within range, positive CPU demands and
+// working sets in [0, maxWorkingSetMB] (which rules out NaN and ±Inf).
 func (t *Trace) Validate() error {
 	prev := int64(0)
 	for i, it := range t.Items {
@@ -321,6 +327,10 @@ func (t *Trace) Validate() error {
 		}
 		if it.CPUMillis <= 0 {
 			return fmt.Errorf("trace %s: item %d nonpositive CPU demand", t.Name, i)
+		}
+		if !(it.WorkingSetMB >= 0 && it.WorkingSetMB <= maxWorkingSetMB) {
+			return fmt.Errorf("trace %s: item %d working set %v MB outside [0, %d]",
+				t.Name, i, it.WorkingSetMB, maxWorkingSetMB)
 		}
 		prev = it.SubmitMillis
 	}

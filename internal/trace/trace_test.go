@@ -217,6 +217,50 @@ func TestDecodeRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsWorkingSet feeds Decode working sets past the bound, NaN
+// (which JSON cannot carry, so the decoder itself refuses it) and below
+// zero, and requires Validate to name the offending item for a trace built
+// in memory, where NaN and ±Inf can appear.
+func TestDecodeRejectsWorkingSet(t *testing.T) {
+	const item = `{"submitMillis":1,"program":"apsi","cpuMillis":5,"workingSetMB":1,"home":0}`
+	for _, ws := range []string{"1.7976931348623157e308", "NaN", "-1"} {
+		bad := strings.Replace(item, `"workingSetMB":1`, `"workingSetMB":`+ws, 1)
+		in := `{"name":"x","group":1,"durationMillis":1000,"nodes":2,"items":[` + item + "," + bad + `]}`
+		if _, err := Decode(strings.NewReader(in)); err == nil {
+			t.Errorf("working set %s: decoded without error", ws)
+		}
+	}
+	for _, ws := range []float64{math.MaxFloat64, math.NaN(), math.Inf(1), math.Inf(-1), -1, maxWorkingSetMB + 1} {
+		tr := &Trace{Name: "x", Group: workload.Group1, DurationMillis: 1000, Nodes: 2, Items: []Item{
+			{SubmitMillis: 1, Program: "apsi", CPUMillis: 5, WorkingSetMB: 1},
+			{SubmitMillis: 1, Program: "apsi", CPUMillis: 5, WorkingSetMB: ws},
+		}}
+		err := tr.Validate()
+		if err == nil || !strings.Contains(err.Error(), "item 1 ") {
+			t.Errorf("working set %v: Validate returned %v, want an error naming item 1", ws, err)
+		}
+	}
+	for _, ws := range []float64{0, maxWorkingSetMB} {
+		tr := &Trace{Name: "x", Group: workload.Group1, DurationMillis: 1000, Nodes: 2, Items: []Item{
+			{SubmitMillis: 1, Program: "apsi", CPUMillis: 5, WorkingSetMB: ws},
+		}}
+		if err := tr.Validate(); err != nil {
+			t.Errorf("working set %v at the bound: %v", ws, err)
+		}
+	}
+	for _, g := range []workload.Group{workload.Group1, workload.Group2} {
+		for level := 1; level <= len(Levels); level++ {
+			tr, err := Standard(g, level, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Validate(); err != nil {
+				t.Errorf("standard trace %s invalid: %v", tr.Name, err)
+			}
+		}
+	}
+}
+
 // Property: every generated trace is internally valid and its submissions
 // fall within the window for arbitrary seeds.
 func TestGeneratePropertyValid(t *testing.T) {

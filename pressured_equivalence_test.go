@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"vrcluster/internal/cluster"
+	"vrcluster/internal/core"
 	"vrcluster/internal/metrics"
 	"vrcluster/internal/obs"
 	"vrcluster/internal/trace"
@@ -79,6 +80,25 @@ func runPressuredTraced(t *testing.T, g workload.Group, vr, dense bool, seed int
 	return res, traceJSONL(t, c.Tracer().Events())
 }
 
+// requireDenseBatchedEqual fails unless a forced-dense and a batched run
+// left byte-identical metrics and JSONL event traces, reporting where the
+// traces first diverge.
+func requireDenseBatchedEqual(t *testing.T, denseRes, batchRes *metrics.Result, denseEv, batchEv []byte) {
+	t.Helper()
+	if !reflect.DeepEqual(denseRes, batchRes) {
+		t.Fatalf("dense and batched results differ:\ndense:   %+v\nbatched: %+v", denseRes, batchRes)
+	}
+	if string(denseEv) != string(batchEv) {
+		a, aerr := obs.ReadJSONL(bytes.NewReader(denseEv))
+		b, berr := obs.ReadJSONL(bytes.NewReader(batchEv))
+		if aerr != nil || berr != nil {
+			t.Fatalf("dense and batched JSONL traces differ (%d vs %d bytes; reparse: %v %v)",
+				len(denseEv), len(batchEv), aerr, berr)
+		}
+		reportTraceDivergence(t, "dense", "batched", a, b)
+	}
+}
+
 // TestDenseVsBatchedEquivalencePressured pins the pressured fold: batched
 // and forced-dense runs of a saturated cluster must agree byte-for-byte on
 // metrics and event traces, under both policies and both workload groups.
@@ -94,18 +114,7 @@ func TestDenseVsBatchedEquivalencePressured(t *testing.T) {
 				t.Parallel()
 				denseRes, denseEv := runPressuredTraced(t, g, vr, true, 1)
 				batchRes, batchEv := runPressuredTraced(t, g, vr, false, 1)
-				if !reflect.DeepEqual(denseRes, batchRes) {
-					t.Fatalf("pressured dense and batched results differ:\ndense:   %+v\nbatched: %+v", denseRes, batchRes)
-				}
-				if string(denseEv) != string(batchEv) {
-					a, aerr := obs.ReadJSONL(bytes.NewReader(denseEv))
-					b, berr := obs.ReadJSONL(bytes.NewReader(batchEv))
-					if aerr != nil || berr != nil {
-						t.Fatalf("pressured dense and batched JSONL traces differ (%d vs %d bytes; reparse: %v %v)",
-							len(denseEv), len(batchEv), aerr, berr)
-					}
-					reportTraceDivergence(t, "dense", "batched", a, b)
-				}
+				requireDenseBatchedEqual(t, denseRes, batchRes, denseEv, batchEv)
 			})
 		}
 	}
@@ -142,5 +151,60 @@ func TestForkVsFreshEquivalencePressured(t *testing.T) {
 				compareForkFresh(t, freshRes, forkRes, freshEv, forkEv)
 			})
 		}
+	}
+}
+
+// TestDenseVsBatchedEquivalenceRampRuns pins the fold's ramp runs on the
+// benchmark's pressured mix: apsi, mcf, gzip and bzip on Cluster1 at a 10 ms
+// quantum under V-Reconfiguration. Most of its folded quanta start below
+// user memory, where ramping jobs step their demand in runs that stop at
+// the first tick whose total would leave [0, user]; batched and
+// forced-dense runs must agree byte-for-byte on metrics and event traces.
+// In -short mode it runs seed 42 only.
+func TestDenseVsBatchedEquivalenceRampRuns(t *testing.T) {
+	for _, seed := range []int64{42, 7} {
+		if testing.Short() && seed != 42 {
+			continue
+		}
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			tr, err := trace.Generate(trace.Config{
+				Name:     "ramp-runs",
+				Group:    workload.Group1,
+				Sigma:    2,
+				Mu:       2,
+				Jobs:     96,
+				Duration: 5 * time.Minute,
+				Nodes:    32,
+				Seed:     seed,
+				Programs: []string{"apsi", "mcf", "gzip", "bzip"},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(dense bool) (*metrics.Result, []byte) {
+				sched, err := core.NewVReconfiguration(core.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := cluster.Cluster1()
+				cfg.Quantum = 10 * time.Millisecond
+				cfg.DenseTicks = dense
+				cfg.Obs = obs.NewTracer(0)
+				c, err := cluster.New(cfg, sched)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := c.Run(tr.Clone())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, traceJSONL(t, c.Tracer().Events())
+			}
+			denseRes, denseEv := run(true)
+			batchRes, batchEv := run(false)
+			requireDenseBatchedEqual(t, denseRes, batchRes, denseEv, batchEv)
+		})
 	}
 }
