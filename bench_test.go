@@ -69,37 +69,6 @@ func BenchmarkEngineScheduleCancel(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkNodeTick measures the quantum-advance hot path with a
-// multiprogrammed, memory-pressured workstation.
-func BenchmarkNodeTick(b *testing.B) {
-	n, err := node.New(node.Config{
-		CPUSpeedMHz:  400,
-		CPUThreshold: 8,
-		Memory:       memory.Config{CapacityMB: 384},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		j, err := workload.Programs(workload.Group1)[i%6].NewJob(i, 0, nil, workload.Jitter{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := n.Admit(j, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	dt := 10 * time.Millisecond
-	now := time.Duration(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		now += dt
-		if _, err := n.Tick(dt, now); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkNodeFold measures the quantum fold one layer down from the
 // cluster: each operation rewinds a four-job workstation and folds the
 // next foldQuanta quanta at a 10 ms quantum, in one regime of
@@ -138,7 +107,7 @@ func BenchmarkNodeFold(b *testing.B) {
 				}
 			}
 			dt := 10 * time.Millisecond
-			if _, err := n.Tick(dt, dt); err != nil {
+			if _, err := n.Fold(dt, dt, 1); err != nil {
 				b.Fatal(err)
 			}
 			if n.Pressured() != (c.name == "pressured") {
@@ -154,7 +123,7 @@ func BenchmarkNodeFold(b *testing.B) {
 				for k, j := range jobs {
 					j.Restore(js[k])
 				}
-				if err := n.Fold(dt, 2*dt, foldQuanta); err != nil {
+				if _, err := n.Fold(dt, 2*dt, foldQuanta); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -23,6 +23,17 @@ import (
 	"vrcluster/internal/workload"
 )
 
+// equivQuantum matches the benchmark quantum: coarse enough to keep the
+// forced-dense runs fast, while still firing thousands of ticks per run.
+const equivQuantum = 100 * time.Millisecond
+
+func equivCluster(g workload.Group) cluster.Config {
+	if g == workload.Group2 {
+		return cluster.Cluster2()
+	}
+	return cluster.Cluster1()
+}
+
 // forkSched builds a fresh scheduler instance for one run.
 func forkSched(t *testing.T, vr bool) cluster.Scheduler {
 	t.Helper()
@@ -293,4 +304,75 @@ func partitionLive(evs []obs.Event, at time.Duration) bool {
 		}
 	}
 	return len(open) > 0
+}
+
+// pressuredTrace builds a pressure-saturated trace: the job mix is
+// restricted to the group's largest working sets (for Group2 including the
+// I/O-active renderers, so the cache-miss stall term rides the pressured
+// fold too), with enough jobs per node that demand sits above user memory
+// for most of the run.
+func pressuredTrace(t *testing.T, g workload.Group, jobs int, seed int64) *trace.Trace {
+	t.Helper()
+	programs := []string{"apsi", "mcf"}
+	if g == workload.Group2 {
+		programs = []string{"metis", "r-wing", "r-sphere"}
+	}
+	tr, err := trace.Generate(trace.Config{
+		Name:     fmt.Sprintf("pressured-g%d-s%d", g, seed),
+		Group:    g,
+		Sigma:    2,
+		Mu:       2,
+		Jobs:     jobs,
+		Duration: 5 * time.Minute,
+		Nodes:    32,
+		Seed:     seed,
+		Programs: programs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// pressuredJobs is sized for ~3 resident jobs per workstation at the
+// saturation peak — comfortably past both clusters' user memory.
+func pressuredJobs(g workload.Group) int {
+	if g == workload.Group2 {
+		return 128
+	}
+	return 96
+}
+
+// TestForkVsFreshEquivalencePressured forks a saturated run at half the
+// submission window and requires the forked completion — which Restores
+// into nodes whose fold scratch was last used by the warmup — to match a
+// fresh run byte-for-byte. forkedRun re-forks from the same snapshot
+// twice, so anything fork one leaves behind in a node must not reach fork
+// two; any such leak shows up as a metrics or trace divergence here.
+func TestForkVsFreshEquivalencePressured(t *testing.T) {
+	for _, g := range []workload.Group{workload.Group1, workload.Group2} {
+		for _, vr := range []bool{false, true} {
+			if testing.Short() && (g != workload.Group1 || vr) {
+				continue
+			}
+			g, vr := g, vr
+			t.Run(fmt.Sprintf("group%d/vr=%v", g, vr), func(t *testing.T) {
+				t.Parallel()
+				base := pressuredTrace(t, g, pressuredJobs(g), 1)
+				per := pressuredTrace(t, g, pressuredJobs(g), 7)
+				at := time.Duration(0.5 * float64(base.Duration()))
+				head, _ := base.SplitAt(at)
+				_, tail := per.SplitAt(at)
+				comp, err := trace.Composite(base.Name+"/fork", head, tail)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := equivCluster(g)
+				cfg.Quantum = equivQuantum
+				freshRes, freshEv := freshForkRun(t, cfg, vr, comp)
+				forkRes, forkEv := forkedRun(t, cfg, vr, comp, head, at)
+				compareForkFresh(t, freshRes, forkRes, freshEv, forkEv)
+			})
+		}
+	}
 }

@@ -1,12 +1,13 @@
 // Sharded-vs-dense board equivalence: the partition heaps behind
 // BestDestination and ReservationCandidate are a pure performance
 // transformation — selection is an argmax under a total order (idle memory
-// desc, jobs asc, index asc) — so running the same seeded trace with
-// DenseBoard forced on and off must produce byte-identical
-// metrics.Results and byte-identical scheduler event traces. Checked over
-// all five standard traces of both workload groups, under both policies,
-// under fault injection, and with the structured tracer attached.
-package vrcluster_test
+// desc, jobs asc, index asc) — so running the same seeded trace with the
+// dense board scans (UseDenseBoard) and with the heaps must produce
+// byte-identical metrics.Results and byte-identical scheduler event
+// traces. Checked over all five standard traces of both workload groups,
+// under both policies, under fault injection, and with the structured
+// tracer attached.
+package cluster_test
 
 import (
 	"fmt"
@@ -15,11 +16,9 @@ import (
 	"time"
 
 	"vrcluster/internal/cluster"
-	"vrcluster/internal/core"
 	"vrcluster/internal/faults"
 	"vrcluster/internal/metrics"
 	"vrcluster/internal/obs"
-	"vrcluster/internal/policy"
 	"vrcluster/internal/trace"
 	"vrcluster/internal/workload"
 )
@@ -33,19 +32,9 @@ func runBoard(t *testing.T, g workload.Group, level int, vr bool, denseBoard boo
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sched cluster.Scheduler
-	if vr {
-		s, err := core.NewVReconfiguration(core.Options{Lease: 30 * time.Second})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sched = s
-	} else {
-		sched = policy.NewGLoadSharing()
-	}
+	sched := equivSched(t, vr)
 	cfg := equivCluster(g)
 	cfg.Quantum = equivQuantum
-	cfg.DenseBoard = denseBoard
 	cfg.Faults = plan
 	for _, m := range mutate {
 		m(&cfg)
@@ -58,6 +47,9 @@ func runBoard(t *testing.T, g workload.Group, level int, vr bool, denseBoard boo
 	c, err := cluster.New(cfg, sched)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if denseBoard {
+		cluster.UseDenseBoard(c)
 	}
 	res, err := c.Run(tr)
 	if err != nil {

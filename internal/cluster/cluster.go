@@ -80,22 +80,6 @@ type Config struct {
 	// zero plan disables injection entirely.
 	Faults faults.Plan
 
-	// DenseTicks forces a quantum tick on every quantum boundary even
-	// while the whole cluster is quiescent, disabling idle-tick elision.
-	// Elision is result-preserving by construction (elided ticks are
-	// provable no-ops); this knob exists to validate exactly that — the
-	// dense-vs-elided equivalence tests run the same trace both ways and
-	// require identical results.
-	DenseTicks bool
-
-	// DenseBoard forces the load board's candidate selections onto the
-	// dense O(nodes) scans instead of the partition heaps. Like
-	// DenseTicks, the sharded path is result-preserving by construction
-	// (selection is a pure argmax under a total order); this knob exists
-	// so the sharded-vs-dense equivalence tests can run every trace both
-	// ways and require byte-identical metrics and traces.
-	DenseBoard bool
-
 	// Obs, when non-nil, receives a structured event for every scheduler
 	// decision made during Run (see internal/obs for the taxonomy). Nil
 	// disables tracing; instrumented paths then cost only a nil check.
@@ -280,13 +264,17 @@ type Cluster struct {
 	auditSnap      audit.Snapshot // refilled for every check
 
 	// active is a bitmask of workstations with resident jobs, maintained
-	// through the nodes' residency watchers; quantumTick visits only set
+	// through the nodes' residency watchers; advance visits only set
 	// bits, and an all-zero mask lets the quantum clock fast-forward
 	// across idle stretches. activeCount tracks the set bits so the
 	// quiescence check is O(1) rather than a word scan.
 	active        []uint64
 	activeCount   int
 	quantumHandle sim.Handle
+
+	// denseClock, when set, replaces Run's quantum clock. Only the test
+	// build sets it: the dense-tick reference oracle (export_test.go).
+	denseClock func()
 
 	// pressured is the exact set of memory-pressured workstations,
 	// maintained through the nodes' pressure watchers. Control-loop scans
@@ -361,7 +349,6 @@ func New(cfg Config, sched Scheduler) (*Cluster, error) {
 		link.SetTracer(cfg.Obs)
 		c.link = link
 	}
-	board.SetDenseSelect(cfg.DenseBoard)
 	c.active = make([]uint64, (len(nodes)+63)/64)
 	c.pressured = make([]uint64, (len(nodes)+63)/64)
 	for i, n := range nodes {
@@ -696,7 +683,7 @@ func (c *Cluster) Start(tr *trace.Trace) error {
 	// event is pending within the quantum the clock falls back to a real
 	// re-armed timer, exactly as a Ticker would, preserving the relative
 	// order of that event and the tick. Elided idle ticks are provable
-	// no-ops: with no resident jobs node.Tick does nothing, and the
+	// no-ops: with no resident jobs node.Fold does nothing, and the
 	// boundary arithmetic keeps every executed tick on the same instants
 	// as the dense schedule (see the dense-vs-elided equivalence tests).
 	for i, n := range c.nodes {
@@ -706,13 +693,6 @@ func (c *Cluster) Start(tr *trace.Trace) error {
 	quantumFn = func() {
 		q := c.cfg.Quantum
 		for {
-			if c.cfg.DenseTicks {
-				c.quantumHandle = c.engine.After(q, quantumFn)
-				if err := c.quantumTick(); err != nil {
-					c.fail(err)
-				}
-				return
-			}
 			if !c.anyActive() {
 				now := c.engine.Now()
 				target := now + q
@@ -756,7 +736,7 @@ func (c *Cluster) Start(tr *trace.Trace) error {
 			if ok {
 				kLast := int64((next - now + q - 1) / q)
 				if k := c.planBatch(kLast); k >= 2 {
-					if err := c.applyBatch(now, k); err != nil {
+					if err := c.advance(now, k); err != nil {
 						c.fail(err)
 						return
 					}
@@ -789,6 +769,9 @@ func (c *Cluster) Start(tr *trace.Trace) error {
 				return
 			}
 		}
+	}
+	if c.denseClock != nil {
+		quantumFn = c.denseClock
 	}
 	c.quantumHandle = c.engine.After(c.cfg.Quantum, quantumFn)
 
@@ -1245,42 +1228,11 @@ func (c *Cluster) recoverNode(id int) error {
 	return nil
 }
 
-// quantumTick advances every active workstation by one scheduling quantum,
-// in ascending node-ID order. Workstations without resident jobs are
-// skipped — for them node.Tick is a no-op — except under DenseTicks, which
-// visits all nodes exactly as the pre-elision loop did.
+// quantumTick advances every active workstation by the quantum due now and
+// stops the engine once every job has finished.
 func (c *Cluster) quantumTick() error {
-	now := c.engine.Now()
-	if c.cfg.DenseTicks {
-		for _, n := range c.nodes {
-			if err := c.tickNode(n, now); err != nil {
-				return err
-			}
-		}
-	} else {
-		// Iterate a snapshot of each word: completions clear bits and
-		// policy callbacks may set them mid-pass, and a node activated
-		// at this instant needs no tick (its accounting starts now). A
-		// node none of whose jobs can complete in this quantum folds it:
-		// no callback can follow, and the fold resumes where the node's
-		// last one ended, which a Tick would void.
-		q := c.cfg.Quantum
-		for wi, w := range c.active {
-			for w != 0 {
-				id := wi<<6 + bits.TrailingZeros64(w)
-				w &= w - 1
-				n := c.nodes[id]
-				if n.CompletionFloor(q, 1) >= 1 {
-					if err := n.Fold(q, now, 1); err != nil {
-						return err
-					}
-					continue
-				}
-				if err := c.tickNode(n, now); err != nil {
-					return err
-				}
-			}
-		}
+	if err := c.advance(c.engine.Now(), 1); err != nil {
+		return err
 	}
 	if c.outstanding == 0 && !c.holdOpen {
 		c.engine.Stop()
@@ -1308,15 +1260,19 @@ func (c *Cluster) planBatch(kMax int64) int64 {
 	return k
 }
 
-// applyBatch advances every active workstation by the k quanta of a
-// completion-free stretch, each node folding its own stretch in one pass
-// (node.Fold) bit-identically to k per-quantum ticks.
-func (c *Cluster) applyBatch(now time.Duration, k int64) error {
+// advance advances every active workstation by the k quanta due from now,
+// in ascending node-ID order, each folding its stretch in one pass
+// (node.Fold). Only the last quantum may complete jobs: k is 1, or
+// planBatch proved the stretch completion-free. It iterates a snapshot of
+// each word of the active set: completions clear bits and scheduler
+// callbacks may set them mid-pass, and a node activated at this instant
+// needs no quantum (its accounting starts now).
+func (c *Cluster) advance(now time.Duration, k int64) error {
 	for wi, w := range c.active {
 		for w != 0 {
 			id := wi<<6 + bits.TrailingZeros64(w)
 			w &= w - 1
-			if err := c.nodes[id].Fold(c.cfg.Quantum, now, k); err != nil {
+			if err := c.fold(c.nodes[id], now, k); err != nil {
 				return err
 			}
 		}
@@ -1324,8 +1280,10 @@ func (c *Cluster) applyBatch(now time.Duration, k int64) error {
 	return nil
 }
 
-func (c *Cluster) tickNode(n *node.Node, now time.Duration) error {
-	done, err := n.Tick(c.cfg.Quantum, now)
+// fold advances workstation n by the k quanta due from now and hands the
+// jobs completed on the last of them to the scheduler.
+func (c *Cluster) fold(n *node.Node, now time.Duration, k int64) error {
+	done, err := n.Fold(c.cfg.Quantum, now, k)
 	if err != nil {
 		return err
 	}

@@ -1,13 +1,16 @@
 // Dense-vs-elided equivalence: the idle-tick elision in cluster.Run is a
-// pure performance transformation, so running the same seeded trace with
-// DenseTicks forced on and off must produce byte-identical metrics.Results.
-// This is the determinism contract of DESIGN.md §7, checked over all five
-// standard traces of both workload groups and under fault injection.
-package vrcluster_test
+// pure performance transformation, so running the same seeded trace on the
+// dense-tick oracle (UseDenseTicks) and on the production clock must
+// produce byte-identical metrics.Results. This is the determinism contract
+// of DESIGN.md §7, checked over all five standard traces of both workload
+// groups and under fault injection.
+package cluster_test
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,6 +18,7 @@ import (
 	"vrcluster/internal/core"
 	"vrcluster/internal/faults"
 	"vrcluster/internal/metrics"
+	"vrcluster/internal/obs"
 	"vrcluster/internal/policy"
 	"vrcluster/internal/trace"
 	"vrcluster/internal/workload"
@@ -31,30 +35,60 @@ func equivCluster(g workload.Group) cluster.Config {
 	return cluster.Cluster1()
 }
 
-// runStandard executes one standard trace level and returns its result.
+// equivSched builds a fresh scheduler instance for one run:
+// V-Reconfiguration with a 30 s lease, or G-Loadsharing.
+func equivSched(t *testing.T, vr bool) cluster.Scheduler {
+	t.Helper()
+	if !vr {
+		return policy.NewGLoadSharing()
+	}
+	s, err := core.NewVReconfiguration(core.Options{Lease: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// traceJSONL renders events to the wire format used by vrsim -trace.
+func traceJSONL(t *testing.T, events []obs.Event) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := obs.WriteJSONL(&buf, events); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// reportTraceDivergence fails the test with the structured first-divergence
+// report (the same rendering cmd/vrdiff produces) instead of a raw byte
+// offset.
+func reportTraceDivergence(t *testing.T, aName, bName string, a, b []obs.Event) {
+	t.Helper()
+	var sb strings.Builder
+	if _, err := obs.WriteDiffReport(&sb, aName, bName, a, b, 3); err != nil {
+		t.Fatalf("diff report: %v", err)
+	}
+	t.Fatal("\n" + sb.String())
+}
+
+// runStandard executes one standard trace level, on the dense-tick oracle
+// or the production clock, and returns its result.
 func runStandard(t *testing.T, g workload.Group, level int, vr bool, dense bool, plan faults.Plan) *metrics.Result {
 	t.Helper()
 	tr, err := trace.Standard(g, level, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sched cluster.Scheduler
-	if vr {
-		s, err := core.NewVReconfiguration(core.Options{Lease: 30 * time.Second})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sched = s
-	} else {
-		sched = policy.NewGLoadSharing()
-	}
+	sched := equivSched(t, vr)
 	cfg := equivCluster(g)
 	cfg.Quantum = equivQuantum
-	cfg.DenseTicks = dense
 	cfg.Faults = plan
 	c, err := cluster.New(cfg, sched)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if dense {
+		cluster.UseDenseTicks(c)
 	}
 	res, err := c.Run(tr)
 	if err != nil {
@@ -64,7 +98,7 @@ func runStandard(t *testing.T, g workload.Group, level int, vr bool, dense bool,
 }
 
 // TestDenseVsElidedEquivalence runs every standard trace of both workload
-// groups through the forced dense-tick path and the activity-proportional
+// groups through the dense-tick oracle and the activity-proportional
 // fast path under both policies, requiring identical results.
 func TestDenseVsElidedEquivalence(t *testing.T) {
 	for _, g := range []workload.Group{workload.Group1, workload.Group2} {

@@ -3,10 +3,9 @@
 // tick's arithmetic. These tests drive workloads that keep most of the
 // cluster over its memory threshold for most of the run — the regime the
 // standard traces only touch in bursts — and require the batched runs to be
-// byte-identical (metrics AND JSONL event traces) to forced-dense runs, and
-// forked runs to fresh runs, including the Restore-then-batch pattern that
-// would expose fold state leaking across a restore.
-package vrcluster_test
+// byte-identical (metrics AND JSONL event traces) to runs on the dense-tick
+// oracle (UseDenseTicks).
+package cluster_test
 
 import (
 	"bytes"
@@ -67,11 +66,13 @@ func runPressuredTraced(t *testing.T, g workload.Group, vr, dense bool, seed int
 	tr := pressuredTrace(t, g, pressuredJobs(g), seed)
 	cfg := equivCluster(g)
 	cfg.Quantum = equivQuantum
-	cfg.DenseTicks = dense
 	cfg.Obs = obs.NewTracer(0)
-	c, err := cluster.New(cfg, forkSched(t, vr))
+	c, err := cluster.New(cfg, equivSched(t, vr))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if dense {
+		cluster.UseDenseTicks(c)
 	}
 	res, err := c.Run(tr)
 	if err != nil {
@@ -80,7 +81,7 @@ func runPressuredTraced(t *testing.T, g workload.Group, vr, dense bool, seed int
 	return res, traceJSONL(t, c.Tracer().Events())
 }
 
-// requireDenseBatchedEqual fails unless a forced-dense and a batched run
+// requireDenseBatchedEqual fails unless a dense-oracle and a batched run
 // left byte-identical metrics and JSONL event traces, reporting where the
 // traces first diverge.
 func requireDenseBatchedEqual(t *testing.T, denseRes, batchRes *metrics.Result, denseEv, batchEv []byte) {
@@ -100,7 +101,7 @@ func requireDenseBatchedEqual(t *testing.T, denseRes, batchRes *metrics.Result, 
 }
 
 // TestDenseVsBatchedEquivalencePressured pins the pressured fold: batched
-// and forced-dense runs of a saturated cluster must agree byte-for-byte on
+// and dense-oracle runs of a saturated cluster must agree byte-for-byte on
 // metrics and event traces, under both policies and both workload groups.
 // In -short mode (the CI smoke job) it runs the Group1/GLS cell only.
 func TestDenseVsBatchedEquivalencePressured(t *testing.T) {
@@ -120,46 +121,12 @@ func TestDenseVsBatchedEquivalencePressured(t *testing.T) {
 	}
 }
 
-// TestForkVsFreshEquivalencePressured forks a saturated run at half the
-// submission window and requires the forked completion — which Restores
-// into nodes whose fold scratch was last used by the warmup — to match a
-// fresh run byte-for-byte. forkedRun re-forks from the same snapshot
-// twice, so anything fork one leaves behind in a node must not reach fork
-// two; any such leak shows up as a metrics or trace divergence here.
-func TestForkVsFreshEquivalencePressured(t *testing.T) {
-	for _, g := range []workload.Group{workload.Group1, workload.Group2} {
-		for _, vr := range []bool{false, true} {
-			if testing.Short() && (g != workload.Group1 || vr) {
-				continue
-			}
-			g, vr := g, vr
-			t.Run(fmt.Sprintf("group%d/vr=%v", g, vr), func(t *testing.T) {
-				t.Parallel()
-				base := pressuredTrace(t, g, pressuredJobs(g), 1)
-				per := pressuredTrace(t, g, pressuredJobs(g), 7)
-				at := time.Duration(0.5 * float64(base.Duration()))
-				head, _ := base.SplitAt(at)
-				_, tail := per.SplitAt(at)
-				comp, err := trace.Composite(base.Name+"/fork", head, tail)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg := equivCluster(g)
-				cfg.Quantum = equivQuantum
-				freshRes, freshEv := freshForkRun(t, cfg, vr, comp)
-				forkRes, forkEv := forkedRun(t, cfg, vr, comp, head, at)
-				compareForkFresh(t, freshRes, forkRes, freshEv, forkEv)
-			})
-		}
-	}
-}
-
 // TestDenseVsBatchedEquivalenceRampRuns pins the fold's ramp runs on the
 // benchmark's pressured mix: apsi, mcf, gzip and bzip on Cluster1 at a 10 ms
 // quantum under V-Reconfiguration. Most of its folded quanta start below
 // user memory, where ramping jobs step their demand in runs that stop at
 // the first tick whose total would leave [0, user]; batched and
-// forced-dense runs must agree byte-for-byte on metrics and event traces.
+// dense-oracle runs must agree byte-for-byte on metrics and event traces.
 // In -short mode it runs seed 42 only.
 func TestDenseVsBatchedEquivalenceRampRuns(t *testing.T) {
 	for _, seed := range []int64{42, 7} {
@@ -190,11 +157,13 @@ func TestDenseVsBatchedEquivalenceRampRuns(t *testing.T) {
 				}
 				cfg := cluster.Cluster1()
 				cfg.Quantum = 10 * time.Millisecond
-				cfg.DenseTicks = dense
 				cfg.Obs = obs.NewTracer(0)
 				c, err := cluster.New(cfg, sched)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if dense {
+					cluster.UseDenseTicks(c)
 				}
 				res, err := c.Run(tr.Clone())
 				if err != nil {

@@ -492,9 +492,10 @@ func (j *Job) Account(cpu, page, queue time.Duration, now time.Duration) (done b
 // AccountFold charges the exact integer sums of a stretch of scheduling
 // quanta (the node's quantum fold) — the closed form of the corresponding
 // sequential Account calls, exact because every accumulation is an integer
-// sum. It must not reach the completion boundary: the fold guarantees every
-// constituent quantum left demand outstanding (a quantum that completes the
-// job needs Account's completion handling).
+// sum. It must not reach the completion boundary: the fold books a job
+// whose stretch leaves demand outstanding here, and a job that completes on
+// the stretch's last quantum with one Account of the whole stretch at that
+// quantum's instant, whose completion handling it needs.
 func (j *Job) AccountFold(cpu, page, queue time.Duration) error {
 	if j.state != StateRunning {
 		return fmt.Errorf("job %d: account in state %v", j.ID, j.state)

@@ -196,8 +196,9 @@ func (b *Board) Partitions() int { return len(b.destBest) }
 // SetDenseSelect forces BestDestination and ReservationCandidate onto the
 // dense O(n) scans instead of the partition heaps. The two paths are
 // equivalent by construction (selection is a pure argmax under a total
-// order); this knob exists so the equivalence suite can prove exactly that
-// on every configuration.
+// order); the dense scans are the reference oracle the tests hold the
+// heaps to, here and through the cluster's test build on every
+// configuration. No production path sets it.
 func (b *Board) SetDenseSelect(dense bool) { b.denseSelect = dense }
 
 // SelectStats reports how many selection queries the board has answered

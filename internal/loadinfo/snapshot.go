@@ -36,7 +36,6 @@ type Snapshot struct {
 	destItems, destPos []int32
 	resvItems, resvPos []int32
 
-	denseSelect       bool
 	sumsDirty         bool
 	sumIdleUp         float64
 	sumIdleUnreserved float64
@@ -46,7 +45,8 @@ type Snapshot struct {
 	scanned int64
 }
 
-// Snapshot captures the board's complete mutable state.
+// Snapshot captures the board's complete mutable state. The dense-select
+// setting (SetDenseSelect) is not state: Restore leaves it as it is.
 func (b *Board) Snapshot() *Snapshot {
 	s := &Snapshot{
 		n:    b.n,
@@ -75,7 +75,6 @@ func (b *Board) Snapshot() *Snapshot {
 		resvItems: append([]int32(nil), b.resvHeap.items...),
 		resvPos:   append([]int32(nil), b.resvHeap.pos...),
 
-		denseSelect:       b.denseSelect,
 		sumsDirty:         b.sumsDirty,
 		sumIdleUp:         b.sumIdleUp,
 		sumIdleUnreserved: b.sumIdleUnreserved,
@@ -124,7 +123,6 @@ func (b *Board) Restore(s *Snapshot) {
 	b.resvHeap.items = append(b.resvHeap.items[:0], s.resvItems...)
 	b.resvHeap.pos = append(b.resvHeap.pos[:0], s.resvPos...)
 
-	b.denseSelect = s.denseSelect
 	b.sumsDirty = s.sumsDirty
 	b.sumIdleUp = s.sumIdleUp
 	b.sumIdleUnreserved = s.sumIdleUnreserved

@@ -358,9 +358,6 @@ func (r *Replay) Total() float64 { return r.total }
 // Pressured reports whether the cursor's total would be paging.
 func (r *Replay) Pressured() bool { return r.pressured }
 
-// FaultRate reports the fault rate at the cursor's total.
-func (r *Replay) FaultRate() float64 { return r.rate }
-
 // Stall reports StallPerCPUSecond at the cursor's total: the same product
 // of fault rate and service seconds (zero times zero when unpressured).
 func (r *Replay) Stall() float64 { return r.rate * r.fault }

@@ -8,6 +8,7 @@ import (
 
 	"vrcluster/internal/job"
 	"vrcluster/internal/memory"
+	"vrcluster/internal/obs"
 )
 
 // watched installs a no-op pressure watcher, so lastPressured tracks the
@@ -44,7 +45,7 @@ func pressuredPair(t *testing.T) (dense, batched *Node) {
 	for !dense.Pressured() {
 		now += q
 		for _, n := range []*Node{dense, batched} {
-			if _, err := n.Tick(q, now); err != nil {
+			if _, err := n.tick(q, now); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -60,7 +61,7 @@ func pressuredPair(t *testing.T) (dense, batched *Node) {
 
 // snapState captures everything a quantum can touch: the node's full
 // snapshot (memory registry and total, coverage, demand caches,
-// lastPressured, fault and stall accumulators) with the job
+// lastPressured, CPU and stall accumulators, reserved jobs) with the job
 // pointers swapped for the jobs' own snapshots, since twin nodes hold
 // distinct but identically built jobs.
 func snapState(n *Node) (Snapshot, []job.Snapshot) {
@@ -73,12 +74,14 @@ func snapState(n *Node) (Snapshot, []job.Snapshot) {
 	return s, jobs
 }
 
+// requireSameState fails unless twin nodes hold the same node and job
+// state and, when they trace, emitted the same events.
 func requireSameState(t *testing.T, dense, batched *Node, what string) {
 	t.Helper()
 	ds, dj := snapState(dense)
 	bs, bj := snapState(batched)
-	if ds.faults != bs.faults {
-		t.Fatalf("%s: faults diverge: dense %v batched %v", what, ds.faults, bs.faults)
+	if !reflect.DeepEqual(dense.tr.Events(), batched.tr.Events()) {
+		t.Fatalf("%s: events diverge:\n dense %+v\n batch %+v", what, dense.tr.Events(), batched.tr.Events())
 	}
 	if !reflect.DeepEqual(dj, bj) {
 		t.Fatalf("%s: job state diverges:\n dense %+v\n batch %+v", what, dj, bj)
@@ -88,14 +91,55 @@ func requireSameState(t *testing.T, dense, batched *Node, what string) {
 	}
 }
 
-// tickDense advances n by the k quanta due at now, now+dt, … one Tick at a
-// time, failing on any completion (the stretch was meant to be free of
-// them). It reports how many pressure transitions the ticks passed.
+// requireSameDone fails unless twin nodes completed the same jobs, in the
+// same order and to the same job state.
+func requireSameDone(t *testing.T, dense, batched []*job.Job, what string) {
+	t.Helper()
+	if len(dense) != len(batched) {
+		t.Fatalf("%s: dense completed %d jobs, batched %d", what, len(dense), len(batched))
+	}
+	for i := range dense {
+		if d, b := dense[i].Snapshot(), batched[i].Snapshot(); dense[i].ID != batched[i].ID || !reflect.DeepEqual(d, b) {
+			t.Fatalf("%s: completed job %d diverges:\n dense %d %+v\n batch %d %+v",
+				what, i, dense[i].ID, d, batched[i].ID, b)
+		}
+	}
+}
+
+// mustFold folds the k quanta of n due from now and returns the jobs that
+// completed, failing the test on an error.
+func mustFold(t *testing.T, n *Node, dt, now time.Duration, k int64) []*job.Job {
+	t.Helper()
+	done, err := n.Fold(dt, now, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return done
+}
+
+// tickToDone advances n by up to k quanta due at now, now+dt, … one
+// reference tick at a time, stopping after the first tick that completes a
+// job. It reports the ticks made and the jobs that tick completed.
+func tickToDone(t *testing.T, n *Node, dt, now time.Duration, k int64) (ticks int64, done []*job.Job) {
+	t.Helper()
+	for ticks < k && len(done) == 0 {
+		var err error
+		if done, err = n.tick(dt, now+time.Duration(ticks)*dt); err != nil {
+			t.Fatal(err)
+		}
+		ticks++
+	}
+	return ticks, done
+}
+
+// tickDense advances n by the k quanta due at now, now+dt, … one reference
+// tick at a time, failing on any completion (the stretch was meant to be
+// free of them). It reports how many pressure transitions the ticks passed.
 func tickDense(t *testing.T, n *Node, dt, now time.Duration, k int64) (flips int) {
 	t.Helper()
 	was := n.Pressured()
 	for s := int64(0); s < k; s++ {
-		done, err := n.Tick(dt, now+time.Duration(s)*dt)
+		done, err := n.tick(dt, now+time.Duration(s)*dt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +172,7 @@ func land(t *testing.T, n *Node, j *job.Job, q time.Duration, ticks int, at time
 	s := 0
 	for s < ticks && donor.CompletionFloor(q, 1) > 0 { // stop short of completing
 		s++
-		if _, err := donor.Tick(q, time.Duration(s)*q); err != nil {
+		if _, err := donor.tick(q, time.Duration(s)*q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -140,7 +184,7 @@ func land(t *testing.T, n *Node, j *job.Job, q time.Duration, ticks int, at time
 	}
 }
 
-// TestFoldMatchesDense pins the fold bit-identical to sequential Ticks
+// TestFoldMatchesDense pins the fold bit-identical to sequential ticks
 // across several consecutive stretches of a pressured, ramping node.
 func TestFoldMatchesDense(t *testing.T) {
 	dense, batched := pressuredPair(t)
@@ -149,8 +193,8 @@ func TestFoldMatchesDense(t *testing.T) {
 	const k = 50
 	for round := 0; round < 6; round++ {
 		tickDense(t, dense, q, now, k)
-		if err := batched.Fold(q, now, k); err != nil {
-			t.Fatal(err)
+		if done := mustFold(t, batched, q, now, k); len(done) > 0 {
+			t.Fatalf("fold completed %d jobs", len(done))
 		}
 		now += k * q
 		requireSameState(t, dense, batched, "after stretch")
@@ -160,7 +204,7 @@ func TestFoldMatchesDense(t *testing.T) {
 // TestFoldRegimes drives Fold across pressure crossings in both
 // directions, through a ramp whose I/O stall moves with the demand total
 // while unpressured, and over partial residency in the first quantum.
-// Every case must leave the state k dense Ticks leave, and must actually
+// Every case must leave the state k dense ticks leave, and must actually
 // exercise its regime.
 func TestFoldRegimes(t *testing.T) {
 	const q = 10 * time.Millisecond
@@ -263,8 +307,8 @@ func TestFoldRegimes(t *testing.T) {
 			// but the total sits 0.001 MB below user memory while each
 			// tick's first step (the middle job's) lifts it past by more
 			// and the last step brings it back. A tick with the crossing
-			// inside it is made in full: the last job accrues faults
-			// although no tick ends pressured.
+			// inside it is made in full, yet no tick starts pressured, so
+			// no job pages.
 			name: "ramp run crossing user memory at a middle job",
 			jobs: []admit{
 				{cpu: time.Minute, phases: flat(39.999)},
@@ -273,9 +317,9 @@ func TestFoldRegimes(t *testing.T) {
 			},
 			warm: 1, now: 2 * q, k: 2000,
 			check: func(t *testing.T, n *Node) {
-				if n.Pressured() || n.Faults() == 0 {
-					t.Fatalf("stretch should fault inside its ticks yet end unpressured: pressured=%v faults=%v",
-						n.Pressured(), n.Faults())
+				if n.Pressured() || n.Memory().DemandMB() <= 99.99 || paged(n) {
+					t.Fatalf("stretch should end just below user memory without paging: pressured=%v demand=%v paged=%v",
+						n.Pressured(), n.Memory().DemandMB(), paged(n))
 				}
 			},
 		},
@@ -293,9 +337,9 @@ func TestFoldRegimes(t *testing.T) {
 			},
 			warm: 1, now: 2 * q, k: 1000,
 			check: func(t *testing.T, n *Node) {
-				if p := n.JobAt(1).Progress(); n.Pressured() || n.Faults() != 0 || p <= 0.04 {
-					t.Fatalf("stretch should stay unpressured past progress 0.04: pressured=%v faults=%v progress=%v",
-						n.Pressured(), n.Faults(), p)
+				if p := n.JobAt(1).Progress(); n.Pressured() || paged(n) || p <= 0.04 {
+					t.Fatalf("stretch should stay unpressured past progress 0.04: pressured=%v paged=%v progress=%v",
+						n.Pressured(), paged(n), p)
 				}
 			},
 		},
@@ -311,7 +355,7 @@ func TestFoldRegimes(t *testing.T) {
 			stretch: func(t *testing.T, probe *Node) int64 {
 				until, k := probe.cursor[1].Until, int64(0)
 				for now := 2 * q; ; now += q {
-					if _, err := probe.Tick(q, now); err != nil {
+					if _, err := probe.tick(q, now); err != nil {
 						t.Fatal(err)
 					}
 					if probe.JobAt(1).CPUDone() > until {
@@ -345,7 +389,7 @@ func TestFoldRegimes(t *testing.T) {
 				tick := int64(1)
 				for id, a := range c.jobs {
 					for ; tick <= c.warm && time.Duration(tick)*q < a.at; tick++ {
-						if _, err := n.Tick(q, time.Duration(tick)*q); err != nil {
+						if _, err := n.tick(q, time.Duration(tick)*q); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -357,7 +401,7 @@ func TestFoldRegimes(t *testing.T) {
 					land(t, n, j, q, a.ran, a.at)
 				}
 				for ; tick <= c.warm; tick++ {
-					if _, err := n.Tick(q, time.Duration(tick)*q); err != nil {
+					if _, err := n.tick(q, time.Duration(tick)*q); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -374,8 +418,8 @@ func TestFoldRegimes(t *testing.T) {
 			if flips := tickDense(t, dense, q, c.now, c.k); flips < c.flips {
 				t.Fatalf("dense stretch passed %d pressure transitions, want at least %d", flips, c.flips)
 			}
-			if err := folded.Fold(q, c.now, c.k); err != nil {
-				t.Fatal(err)
+			if done := mustFold(t, folded, q, c.now, c.k); len(done) > 0 {
+				t.Fatalf("fold completed %d jobs", len(done))
 			}
 			requireSameState(t, dense, folded, "after the stretch")
 			if c.check != nil {
@@ -383,6 +427,16 @@ func TestFoldRegimes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// paged reports whether any resident job of n has been charged paging time.
+func paged(n *Node) bool {
+	for _, j := range n.jobs {
+		if j.Breakdown().Page > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // pressuredPast checks that a stretch ended pressured with resident job
@@ -439,18 +493,14 @@ func TestFoldAfterRewind(t *testing.T) {
 		}
 	}
 	now := time.Duration(mid+1) * q
-	if err := rewound.Fold(q, now, k); err != nil {
-		t.Fatal(err)
-	}
+	mustFold(t, rewound, q, now, k)
 	if p := ramp.Progress(); p <= 0.1 {
 		t.Fatalf("the node should have moved on into the flat phase, progress %v", p)
 	}
 
 	restore()
 	tickDense(t, twin, q, now, k)
-	if err := rewound.Fold(q, now, k); err != nil {
-		t.Fatal(err)
-	}
+	mustFold(t, rewound, q, now, k)
 	requireSameState(t, twin, rewound, "fold after the rewind")
 
 	restore()
@@ -466,9 +516,7 @@ func TestFoldAcrossQuantumChange(t *testing.T) {
 	now := dense.covered[0] + q
 	const k = 40
 	tickDense(t, dense, q, now, k)
-	if err := folded.Fold(q, now, k); err != nil {
-		t.Fatal(err)
-	}
+	mustFold(t, folded, q, now, k)
 	requireSameState(t, dense, folded, "after the first stretch")
 	q2 := 2 * q
 	now += (k-1)*q + q2
@@ -476,20 +524,43 @@ func TestFoldAcrossQuantumChange(t *testing.T) {
 		t.Fatalf("completion floor %d below the stretch %d", floor, k)
 	}
 	tickDense(t, dense, q2, now, k)
-	if err := folded.Fold(q2, now, k); err != nil {
-		t.Fatal(err)
-	}
+	mustFold(t, folded, q2, now, k)
 	requireSameState(t, dense, folded, "after the stretch at twice the quantum")
 }
 
-// TestFoldRejectsBadQuantum mirrors Tick's quantum validation.
+// TestFoldRejectsBadQuantum pins the fold's quantum validation.
 func TestFoldRejectsBadQuantum(t *testing.T) {
 	n := newNode(t, 100, 4)
 	if err := n.Admit(newJob(t, 1, time.Second, 10), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Fold(0, time.Second, 3); err == nil {
+	if _, err := n.Fold(0, time.Second, 3); err == nil {
 		t.Fatal("zero quantum accepted")
+	}
+}
+
+// TestFoldRejectsEarlyCompletion pins the fold's contract: a job may
+// complete only on its last quantum, and a stretch that would complete one
+// earlier fails instead of booking the quanta after it.
+func TestFoldRejectsEarlyCompletion(t *testing.T) {
+	n := newNode(t, 100, 4)
+	if err := n.Admit(newJob(t, 1, 15*time.Millisecond, 10), 0); err != nil {
+		t.Fatal(err)
+	}
+	const q = 10 * time.Millisecond
+	if _, err := n.Fold(q, q, 3); err == nil {
+		t.Fatal("a fold that completes a job on its second of three quanta succeeded")
+	}
+	m := newNode(t, 100, 4)
+	j := newJob(t, 1, 15*time.Millisecond, 10)
+	if err := m.Admit(j, 0); err != nil {
+		t.Fatal(err)
+	}
+	if done := mustFold(t, m, q, q, 2); len(done) != 1 || done[0] != j || m.NumJobs() != 0 {
+		t.Fatalf("a fold that completes a job on its last quantum returned %v, %d resident", done, m.NumJobs())
+	}
+	if at, err := j.DoneAt(); err != nil || at != 2*q {
+		t.Fatalf("job done at %v (%v), want %v", at, err, 2*q)
 	}
 }
 
@@ -534,22 +605,37 @@ func TestCompletionFloorEarlyExitAtBoundary(t *testing.T) {
 }
 
 // FuzzFoldMatchesTick is the differential check behind Fold: from a drawn
-// node and job mix, one Fold of k quanta must leave exactly the node and
-// job state k sequential Ticks leave. testdata/fuzz holds seeds for the
-// regimes: flat, pressured, pressure crossings either way, an I/O-active
-// ramp, and partial residency in the first quantum.
+// node and job mix, Fold must leave exactly the node and job state, the
+// completed jobs and the events that sequential reference ticks leave. The
+// drawn mode picks the stretch: one Fold of up to k quanta that may
+// complete jobs on its last (mode 0 takes k no larger than the completion
+// floor, mode 1 stops at the first tick that completes a job), or a chain
+// of k one-quantum Folds that may complete jobs anywhere, as the cluster
+// makes them (mode 2). testdata/fuzz holds seeds for the regimes: flat,
+// pressured, pressure crossings either way, an I/O-active ramp, partial
+// residency in the first quantum, and completions.
 func FuzzFoldMatchesTick(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := draw(data)
-		dense, folded, q, now, k := drawStretch(t, &d)
-		if k == 0 {
+		dense, folded, q, now, k, mode := drawStretch(t, &d)
+		if mode < 2 {
+			ticks, done := tickToDone(t, dense, q, now, k)
+			requireSameDone(t, done, mustFold(t, folded, q, now, ticks), "after the stretch")
+			requireSameState(t, dense, folded, "after the stretch")
 			return
 		}
-		tickDense(t, dense, q, now, k)
-		if err := folded.Fold(q, now, k); err != nil {
-			t.Fatal(err)
+		for s := int64(0); s < k; s++ {
+			at := now + time.Duration(s)*q
+			done, err := dense.tick(q, at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			what := fmt.Sprintf("after quantum %d", s+1)
+			requireSameDone(t, done, mustFold(t, folded, q, at, 1), what)
+			if len(done) > 0 || s == k-1 {
+				requireSameState(t, dense, folded, what)
+			}
 		}
-		requireSameState(t, dense, folded, "after the stretch")
 	})
 }
 
@@ -558,10 +644,13 @@ func FuzzFoldMatchesTick(f *testing.F) {
 // from the state the last one left unless a status mutator ran in between.
 // Between some of them a drawn mutator runs on both twins: a reservation
 // flip, a migration hold placed or cancelled, a change of remote backing,
-// the admission of a new job, or a dense Tick. The twin that ticks densely
-// throughout must be left in the same state after every part. The input's
-// first 20 bytes draw the split and the mutators, the rest the stretch as
-// in FuzzFoldMatchesTick; testdata/fuzz holds a seed per mutator.
+// the admission of a new job, or one quantum (a reference tick on the dense
+// twin, a one-quantum Fold on the other). A part ends early after a
+// quantum that completes a job, and the next part carries on from there.
+// The twin that ticks densely throughout must be left in the same state
+// after every part. The input's first 20 bytes draw the split and the
+// mutators, the rest the stretch as in FuzzFoldMatchesTick; testdata/fuzz
+// holds a seed per mutator.
 func FuzzFoldResume(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := draw(data)
@@ -570,38 +659,45 @@ func FuzzFoldResume(f *testing.F) {
 		for i := range cuts {
 			cuts[i].frac, cuts[i].op, cuts[i].arg = d.n(100), d.n(6), d.n(1<<16)
 		}
-		dense, folded, q, now, k := drawStretch(t, &d)
-		twins := []*Node{dense, folded}
+		dense, folded, q, now, k, mode := drawStretch(t, &d)
 		for part := 0; k > 0; part++ {
 			kp := k
 			if part < parts-1 {
 				kp = min(k, 1+k*int64(cuts[part].frac)/100)
 			}
-			tickDense(t, dense, q, now, kp)
-			if err := folded.Fold(q, now, kp); err != nil {
-				t.Fatal(err)
-			}
-			now += time.Duration(kp) * q
-			k -= kp
-			requireSameState(t, dense, folded, fmt.Sprintf("after part %d", part+1))
+			ticks, done := tickToDone(t, dense, q, now, kp)
+			what := fmt.Sprintf("after part %d", part+1)
+			requireSameDone(t, done, mustFold(t, folded, q, now, ticks), what)
+			now += time.Duration(ticks) * q
+			k -= ticks
+			requireSameState(t, dense, folded, what)
 			if part >= parts-1 || k == 0 {
 				continue
 			}
 			c := cuts[part]
-			var errs [2]error
-			for i, n := range twins {
-				errs[i] = mutate(t, n, c.op, c.arg, part, q, now)
-			}
-			if (errs[0] == nil) != (errs[1] == nil) {
-				t.Fatalf("mutator %d after part %d: dense %v, folded %v", c.op, part+1, errs[0], errs[1])
-			}
-			if c.op == 5 { // the Tick took the quantum due at now
+			if c.op == 5 { // the quantum due at now
+				done, err := dense.tick(q, now)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameDone(t, done, mustFold(t, folded, q, now, 1), "after the quantum between parts")
 				now += q
 				k--
+			} else {
+				var errs [2]error
+				for i, n := range []*Node{dense, folded} {
+					errs[i] = mutate(t, n, c.op, c.arg, part, q, now)
+				}
+				if (errs[0] == nil) != (errs[1] == nil) {
+					t.Fatalf("mutator %d after part %d: dense %v, folded %v", c.op, part+1, errs[0], errs[1])
+				}
 			}
 			requireSameState(t, dense, folded, fmt.Sprintf("after mutator %d", c.op))
-			// An admitted job can complete before the rest of the stretch.
-			k = dense.CompletionFloor(q, k)
+			if mode == 0 {
+				// An admitted job can complete before the rest of the
+				// stretch; mode 0 keeps every part completion-free.
+				k = dense.CompletionFloor(q, k)
+			}
 		}
 	})
 }
@@ -637,12 +733,6 @@ func mutate(t *testing.T, n *Node, op, arg, part int, q, now time.Duration) erro
 			j.SetIORate(float64(1 + arg/2%8))
 		}
 		return n.Admit(j, now-q+time.Duration(arg%(int(q/time.Microsecond)+1))*time.Microsecond)
-	case 5:
-		done, err := n.Tick(q, now)
-		if len(done) > 0 {
-			t.Fatal("a job completed inside the stretch")
-		}
-		return err
 	}
 	return nil
 }
@@ -653,8 +743,11 @@ func mutate(t *testing.T, n *Node, op, arg, part int, q, now time.Duration) erro
 // (including mid-quantum and at the stretch's first instant), migrated
 // arrivals that land with progress, memory
 // capacity around the line the jobs' summed demand crosses, CPU speed,
-// remote backing, the quantum, and k up to the nodes' CompletionFloor.
-func drawStretch(t *testing.T, d *draw) (dense, folded *Node, q, now time.Duration, k int64) {
+// remote backing, the quantum, the stretch's mode (see FuzzFoldMatchesTick)
+// and k up to 3000, or up to the nodes' CompletionFloor in mode 0. Each
+// twin traces its events. The mode is drawn last, so a seed written before
+// it existed draws mode 0 once its bytes run out.
+func drawStretch(t *testing.T, d *draw) (dense, folded *Node, q, now time.Duration, k int64, mode int) {
 	q = time.Duration(1+d.n(20)) * time.Millisecond
 	type spec struct {
 		cpu    time.Duration
@@ -709,6 +802,7 @@ func drawStretch(t *testing.T, d *draw) (dense, folded *Node, q, now time.Durati
 			t.Fatal(err)
 		}
 		watched(n)
+		n.SetTracer(obs.NewTracer(0))
 		n.Memory().SetRemoteBacking(remote)
 		// Each job is admitted just before the first tick at or after its
 		// offset; the last pass admits the stretch's arrivals.
@@ -727,7 +821,7 @@ func drawStretch(t *testing.T, d *draw) (dense, folded *Node, q, now time.Durati
 				}
 			}
 			if tick <= warm {
-				if _, err := n.Tick(q, at); err != nil {
+				if _, err := n.tick(q, at); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -735,7 +829,10 @@ func drawStretch(t *testing.T, d *draw) (dense, folded *Node, q, now time.Durati
 		return n
 	}
 	dense, folded = mk(), mk()
-	return dense, folded, q, now, dense.CompletionFloor(q, kMax)
+	if mode = d.n(3); mode == 0 {
+		kMax = dense.CompletionFloor(q, kMax)
+	}
+	return dense, folded, q, now, kMax, mode
 }
 
 // draw reads bounded integers from fuzz input, yielding zeros once the

@@ -8,6 +8,7 @@ package node
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -146,7 +147,6 @@ type Node struct {
 	// fill up while the memory image is being transferred.
 	incoming map[int]float64
 
-	faults       float64 // cumulative page-fault count
 	cpuDelivered time.Duration
 	ioStall      time.Duration // cumulative buffer-cache-miss stall
 
@@ -170,8 +170,8 @@ type Node struct {
 		cpu  time.Duration
 	}
 
-	// doneScratch backs Tick's completed-jobs return value. Callers
-	// consume the slice before the node's next Tick, so reusing one
+	// doneScratch backs Fold's completed-jobs return value. Callers
+	// consume the slice before the node's next Fold, so reusing one
 	// backing array keeps completion-bearing quanta allocation-free.
 	doneScratch []*job.Job
 
@@ -264,8 +264,7 @@ func (n *Node) removeResidentAt(idx int) {
 // StatusVersion reports a counter that moves whenever LoadStatus may have
 // changed: the node bumps it in Admit, AttachMigrated, Detach,
 // ExpectMigration, CancelExpected, SetReserved, Crash, Recover,
-// StartDrain, Remove, Restore, and in Tick and Fold on a node with
-// residents, and the memory manager's own version (memory.Manager.Version)
+// StartDrain, Remove, Restore, and in Fold on a node with residents, and the memory manager's own version (memory.Manager.Version)
 // is added in, so a demand changed through Memory() moves it too. It never
 // goes backwards. The load board compares it with the value it saw at its
 // last refresh and re-reads only the workstations whose version moved.
@@ -501,9 +500,6 @@ func (n *Node) ReservedJobCount() int {
 	return c
 }
 
-// Faults reports cumulative page faults serviced on this node.
-func (n *Node) Faults() float64 { return n.faults }
-
 // IOStall reports cumulative disk stall from buffer-cache misses.
 func (n *Node) IOStall() time.Duration { return n.ioStall }
 
@@ -518,7 +514,8 @@ func (n *Node) IOActiveJobs() int { return n.ioActive }
 func (n *Node) CacheAvailability() float64 { return n.cacheAvailabilityAt(n.mem.DemandMB()) }
 
 // cacheAvailabilityAt is CacheAvailability at a hypothetical demand total,
-// so Fold's replayed totals run through the same arithmetic as Tick.
+// so Fold's replayed totals run through the same arithmetic as the
+// registry's.
 func (n *Node) cacheAvailabilityAt(total float64) float64 {
 	need := n.cfg.IOCacheNeedMB * float64(n.ioActive)
 	if need <= 0 {
@@ -710,7 +707,6 @@ type Snapshot struct {
 	ioActive     int
 	lastPressure bool
 	incoming     map[int]float64
-	faults       float64
 	cpuDelivered time.Duration
 	ioStall      time.Duration
 }
@@ -728,7 +724,6 @@ func (n *Node) Snapshot() Snapshot {
 		demand:       append([]float64(nil), n.demand...),
 		ioActive:     n.ioActive,
 		lastPressure: n.lastPressured,
-		faults:       n.faults,
 		cpuDelivered: n.cpuDelivered,
 		ioStall:      n.ioStall,
 	}
@@ -774,7 +769,6 @@ func (n *Node) Restore(s Snapshot) {
 	n.removed = s.removed
 	n.ioActive = s.ioActive
 	n.lastPressured = s.lastPressure
-	n.faults = s.faults
 	n.cpuDelivered = s.cpuDelivered
 	n.ioStall = s.ioStall
 	clear(n.reservedJobs)
@@ -785,105 +779,6 @@ func (n *Node) Restore(s Snapshot) {
 	for id, d := range s.incoming {
 		n.incoming[id] = d
 	}
-}
-
-// Tick advances the workstation by one scheduling quantum dt ending at
-// virtual time now. Runnable jobs share the CPU round-robin: each receives
-// an equal share of the quantum, loses context-switch overhead when
-// multiprogrammed, and converts execution time into CPU progress at the
-// node's speed factor, degraded by the memory manager's current paging
-// stall. Completed jobs are removed and returned.
-func (n *Node) Tick(dt time.Duration, now time.Duration) ([]*job.Job, error) {
-	if dt <= 0 {
-		return nil, fmt.Errorf("node %d: nonpositive quantum %v", n.cfg.ID, dt)
-	}
-	if len(n.jobs) == 0 {
-		return nil, nil
-	}
-	n.version++
-	q := n.newQuantum(dt, n.mem.StallPerCPUSecond(), 1-n.CacheAvailability())
-	lo := now - dt
-	done := n.doneScratch[:0]
-	for i, j := range n.jobs {
-		// Credit only the portion of the quantum the job was actually
-		// resident for (it may have been admitted mid-quantum).
-		resid := dt
-		if from := n.covered[i]; from > lo {
-			resid = now - from
-		}
-		n.covered[i] = now
-		if resid <= 0 {
-			continue
-		}
-		c := q.charge(n.ioPerMiss(j), resid, j.Remaining())
-		finished, err := j.Account(c.cpu, c.page, c.queue, now)
-		if err != nil {
-			return nil, err
-		}
-		if n.mem.Pressured() { // FaultRate is nonzero exactly under pressure
-			n.faults += float64(c.cpu) / float64(time.Second) * n.mem.FaultRate()
-		}
-		n.ioStall += c.io
-		n.cpuDelivered += c.cpu
-		if finished {
-			done = append(done, j)
-			if err := n.mem.Remove(j.ID); err != nil {
-				return nil, err
-			}
-			delete(n.reservedJobs, j.ID)
-			if n.tr != nil {
-				n.tr.Emit(obs.Event{At: now, Kind: obs.KindJobDone,
-					Node: int32(n.cfg.ID), Job: int32(j.ID), Aux: -1})
-			}
-			continue
-		}
-		// Demand evolves with progress; a flat cursor that still covers
-		// the job's service proves it has not moved.
-		cur, svc := &n.cursor[i], j.CPUDone()
-		if !cur.Covers(svc) {
-			*cur = j.SegmentAt(svc)
-		} else if cur.Flat() {
-			continue
-		}
-		if d := cur.DemandAt(svc); d != n.demand[i] {
-			if err := n.mem.Update(j.ID, d); err != nil {
-				return nil, err
-			}
-			n.demand[i] = d
-		}
-	}
-	if len(done) > 0 {
-		k := 0
-		for i, j := range n.jobs {
-			if j.State() == job.StateDone {
-				if j.IORate() > 0 {
-					n.ioActive--
-				}
-				continue
-			}
-			n.jobs[k] = j
-			n.covered[k] = n.covered[i]
-			n.demand[k] = n.demand[i]
-			n.cursor[k] = n.cursor[i]
-			k++
-		}
-		for i := k; i < len(n.jobs); i++ {
-			n.jobs[i] = nil
-		}
-		n.jobs = n.jobs[:k]
-		n.covered = n.covered[:k]
-		n.demand = n.demand[:k]
-		n.cursor = n.cursor[:k]
-		n.notifyResidency()
-	}
-	// Demand refreshes and completions above may have moved pressure in
-	// either direction; one transition check covers the whole tick.
-	n.notifyPressure()
-	if len(done) < len(n.doneScratch) {
-		clear(n.doneScratch[len(done):]) // drop stale job references
-	}
-	n.doneScratch = done
-	return done, nil
 }
 
 // execShare is each resident job's execution time in a quantum of length
@@ -897,9 +792,8 @@ func (n *Node) execShare(dt time.Duration) time.Duration {
 	return max(share, 0)
 }
 
-// quantum holds one tick's job-independent terms — the values Tick hoists
-// out of its per-job loop — evaluated at the demand total the tick starts
-// from.
+// quantum holds one tick's job-independent terms, evaluated at the demand
+// total the tick starts from.
 type quantum struct {
 	exec      time.Duration
 	execSec   float64
@@ -1037,15 +931,14 @@ func (n *Node) progressCeiling(dt time.Duration) time.Duration {
 }
 
 // foldJob is one resident job's running state across Folds: the charge
-// every tick currently makes and its CPU seconds for the fault sum, the
-// CPU service the job had when that charge took effect, the residency its
-// next charge credits, its demand, its phase cursor (the node's own,
-// stepped in place) and the running Fold's sums up to then.
+// every tick currently makes, the CPU service the job had when that charge
+// took effect, the residency its next charge credits, its demand, its phase
+// cursor (the node's own, stepped in place) and the running Fold's sums up
+// to then.
 type foldJob struct {
 	j      *job.Job
 	ioPer  float64 // the job's ioPerMiss
 	charge charge
-	cpuSec float64 // charge.cpu in seconds, the fault sum's factor
 	done   time.Duration
 	resid  time.Duration
 	demand float64
@@ -1068,24 +961,30 @@ type foldEnd struct {
 	stale, steady bool
 }
 
-// Fold advances the k quanta due at now, now+dt, …, now+(k-1)*dt in one
-// pass, leaving exactly the node and job state k sequential Ticks would.
-// The caller guarantees the stretch is completion-free (k no larger than
-// CompletionFloor); inside such a stretch nothing a tick does reaches
-// beyond the node, so Fold covers every regime and never falls back.
+// Fold advances the workstation by the k scheduling quanta of length dt due
+// at now, now+dt, …, now+(k-1)*dt, in one pass. In each quantum the resident
+// jobs share the CPU round-robin: each receives an equal share of the
+// quantum, loses context-switch overhead when multiprogrammed, and converts
+// execution time into CPU progress at the node's speed factor, degraded by
+// the paging stall and buffer-cache misses at the demand total the quantum
+// starts from. Jobs that complete on the last quantum are removed and
+// returned in round-robin order; the slice is reused by the next Fold. The
+// caller guarantees that no job completes on an earlier quantum
+// (CompletionFloor(dt, k-1) is k-1), so nothing a tick before the last does
+// reaches beyond the node; Fold fails otherwise.
 //
 // A Fold that starts at the instant the last one would have ticked next,
 // with the same quantum and no status mutation in between, resumes from
 // the quantum, replay cursor and charges that one ended with; any other
-// rebuilds them, crediting each job's first charge with its residency in
-// the first quantum (Tick's resid rule). Either way advance makes the
-// ticks, and the commit books them.
-func (n *Node) Fold(dt, now time.Duration, k int64) error {
+// rebuilds them, crediting each job only for the part of the first quantum
+// it was resident for (it may have been admitted mid-quantum). Either way
+// advance makes the ticks, and the commit books them.
+func (n *Node) Fold(dt, now time.Duration, k int64) ([]*job.Job, error) {
 	if dt <= 0 {
-		return fmt.Errorf("node %d: nonpositive quantum %v", n.cfg.ID, dt)
+		return nil, fmt.Errorf("node %d: nonpositive quantum %v", n.cfg.ID, dt)
 	}
 	if len(n.jobs) == 0 || k <= 0 {
-		return nil
+		return nil, nil
 	}
 	end := &n.foldEnd
 	resume := end.valid && end.version == n.StatusVersion() && end.dt == dt && end.next == now
@@ -1108,28 +1007,43 @@ func (n *Node) Fold(dt, now time.Duration, k int64) error {
 		end.q = n.newQuantum(dt, end.rep.Stall(), 1-n.cacheAvailabilityAt(end.rep.Total()))
 		end.stale = true
 	}
-	seg := end.advance(n, fold, k, partial)
+	seg, finished := end.advance(n, fold, k, partial)
+	if finished > 0 && finished < k {
+		return nil, fmt.Errorf("node %d: a job completes on quantum %d of a %d-quantum fold", n.cfg.ID, finished, k)
+	}
 
 	// Commit: integer sums fold exactly, and the demand registry takes the
 	// cursor's total, accumulated in Update's order, unless the total is
-	// bit for bit and every demand equal to what the registry holds. Each
-	// job's done moves on to its service, so the charges carry into a
-	// resuming Fold.
+	// bit for bit and every demand equal to what the registry holds. A
+	// completed job is booked at the last quantum and leaves the registry;
+	// every other job's done moves on to its service, so the charges carry
+	// into a resuming Fold.
 	last := now + time.Duration(k-1)*dt
-	moved := math.Float64bits(end.rep.Total()) != math.Float64bits(n.mem.DemandMB())
+	moved := finished > 0 || math.Float64bits(end.rep.Total()) != math.Float64bits(n.mem.DemandMB())
+	if finished > 0 {
+		clear(n.doneScratch) // drop the last completions' job references
+		n.doneScratch = n.doneScratch[:0]
+	}
 	for i := range fold {
 		f := &fold[i]
 		moved = moved || f.demand != n.demand[i]
 		f.sum.add(f.charge, seg)
 		f.done += f.charge.cpu * time.Duration(seg)
-		if err := f.j.AccountFold(f.sum.cpu, f.sum.page, f.sum.queue); err != nil {
-			return err
-		}
 		n.covered[i] = last
 		n.demand[i] = f.demand
 		n.cpuDelivered += f.sum.cpu
 		n.ioStall += f.sum.io
+		if f.done < f.j.CPUDemand {
+			if err := f.j.AccountFold(f.sum.cpu, f.sum.page, f.sum.queue); err != nil {
+				return nil, err
+			}
+		} else if err := n.complete(f.j, f.sum, last); err != nil {
+			return nil, err
+		}
 		f.sum = charge{}
+	}
+	if finished > 0 {
+		n.compact()
 	}
 	if moved {
 		ids := n.foldIDs[:0]
@@ -1138,26 +1052,72 @@ func (n *Node) Fold(dt, now time.Duration, k int64) error {
 		}
 		n.foldIDs = ids
 		if err := n.mem.ReplayDemands(ids, n.demand, end.rep.Total()); err != nil {
-			return err
+			return nil, err
 		}
+	}
+	if finished > 0 {
+		n.notifyResidency()
+		n.notifyPressure()
+		return n.doneScratch, nil
 	}
 	end.version, end.next, end.valid = n.StatusVersion(), now+time.Duration(k)*dt, true
 	n.notifyPressure()
+	return nil, nil
+}
+
+// complete books a job's last quanta, sum, with its completion at instant
+// at, and takes it out of the registry and the reserved set; compact then
+// drops it from the resident set.
+func (n *Node) complete(j *job.Job, sum charge, at time.Duration) error {
+	if _, err := j.Account(sum.cpu, sum.page, sum.queue, at); err != nil {
+		return err
+	}
+	n.doneScratch = append(n.doneScratch, j)
+	if err := n.mem.Remove(j.ID); err != nil {
+		return err
+	}
+	delete(n.reservedJobs, j.ID)
+	if n.tr != nil {
+		n.tr.Emit(obs.Event{At: at, Kind: obs.KindJobDone,
+			Node: int32(n.cfg.ID), Job: int32(j.ID), Aux: -1})
+	}
 	return nil
 }
 
-// advance makes the k ticks of a Fold from the state e holds, replaying
-// Tick's per-tick, per-job order on the replay cursor: each tick reads its
-// stall and cache miss from the cursor's total, each job accrues faults
-// against the total as the earlier jobs of that tick left it, and a job
+// compact drops the completed jobs from the resident set, preserving
+// round-robin order.
+func (n *Node) compact() {
+	k := 0
+	for i, j := range n.jobs {
+		if j.State() == job.StateDone {
+			if j.IORate() > 0 {
+				n.ioActive--
+			}
+			continue
+		}
+		n.jobs[k] = j
+		n.covered[k] = n.covered[i]
+		n.demand[k] = n.demand[i]
+		n.cursor[k] = n.cursor[i]
+		k++
+	}
+	clear(n.jobs[k:])
+	n.jobs = n.jobs[:k]
+	n.covered = n.covered[:k]
+	n.demand = n.demand[:k]
+	n.cursor = n.cursor[:k]
+}
+
+// advance makes the k ticks of a Fold from the state e holds, replaying the
+// per-tick, per-job order of sequential ticks on the replay cursor: each
+// tick reads its stall and cache miss from the cursor's total, and a job
 // whose demand moves steps the cursor. While the stall and cache miss stand
 // still every tick charges each job the same amounts, so the integer sums
 // are multiplies, and the ticks before the first job leaves its phase
-// cursor fold as one run. There are three regimes:
+// cursor or completes fold as one run. There are three regimes:
 //
 //   - In a steady run every job sits inside a flat cursor, so the total
-//     stands still too; only the page-fault float sum is replayed add by
-//     add (it is order-dependent), and only while pressured.
+//     stands still too and the run costs one pass over the jobs.
 //   - In a ramp run some job ramps, but the total starts below user memory
 //     and no resident is I/O-active, so the stall and cache miss stay zero
 //     while the total stays in [0, user]; each tick steps only the ramping
@@ -1167,17 +1127,20 @@ func (n *Node) Fold(dt, now time.Duration, k int64) error {
 //     pass. It is the only per-tick fallback and covers every regime, the
 //     first tick of a ramp run that would leave [0, user] included: a
 //     pressure crossing in either direction is just another total for the
-//     next tick to read.
+//     next tick to read. A job completes only on a full tick: it takes a
+//     charge capped at its remaining demand, as every charge is, and its
+//     demand leaves the total at its place in job order, as a step to zero.
 //
 // The pressure watcher sees one notification for the whole stretch: it
 // only records the latest state.
 //
-// It adds the stretch's faults to the node's and reports seg, the ticks
-// made at the final charges. partial reports a rebuild that credits some
-// job a partial first quantum. The loop lives apart from Fold's set-up and
+// It reports seg, the ticks made at the final charges, and finished, the
+// number of ticks made when the first job completed (zero if none did);
+// it stops there. partial reports a rebuild that credits some job a
+// partial first quantum. The loop lives apart from Fold's set-up and
 // commit, which leaves the compiler fewer live values to spill.
-func (e *foldEnd) advance(n *Node, fold []foldJob, k int64, partial bool) (seg int64) {
-	qv, repv, faults, io := e.q, e.rep, n.faults, n.ioActive > 0
+func (e *foldEnd) advance(n *Node, fold []foldJob, k int64, partial bool) (seg, finished int64) {
+	qv, repv, io := e.q, e.rep, n.ioActive > 0
 	q, rep := &qv, &repv
 	// seg counts the ticks made at the current charges, so a job's CPU
 	// service is its done plus seg of its charge; stale marks charges that
@@ -1189,14 +1152,18 @@ func (e *foldEnd) advance(n *Node, fold []foldJob, k int64, partial bool) (seg i
 	for t := int64(0); t < k; {
 		if !stale && (steady || !io && !rep.Pressured()) {
 			// Fold the run of ticks before the first job leaves its
-			// cursor, collecting the ramping jobs on the way.
+			// cursor or completes, collecting the ramping jobs on the way.
 			run, ramps := k-t, n.ramps[:0]
 			for i := range fold {
-				// A job in its final phase cannot leave it before it
-				// completes, which the stretch rules out.
+				// Each job's service must stay inside its cursor and short
+				// of its demand; the product is exact, so only a bound that
+				// binds costs a division.
 				f := &fold[i]
-				if cpu := f.charge.cpu; cpu > 0 && f.cursor.Until < f.j.CPUDemand {
-					run = min(run, int64((f.cursor.Until-f.done)/cpu)-seg)
+				if cpu := f.charge.cpu; cpu > 0 {
+					room := min(f.cursor.Until, f.j.CPUDemand-1) - f.done
+					if hi, lo := bits.Mul64(uint64(cpu), uint64(seg+run)); hi != 0 || lo > uint64(room) {
+						run = int64(room/cpu) - seg
+					}
 				}
 				if !f.cursor.Flat() {
 					ramps = append(ramps, rampJob{f: f, svc: f.done + f.charge.cpu*time.Duration(seg)})
@@ -1206,13 +1173,6 @@ func (e *foldEnd) advance(n *Node, fold []foldJob, k int64, partial bool) (seg i
 			if run > 0 {
 				if len(ramps) > 0 {
 					run = rampRun(ramps, rep, run)
-				} else if rep.Pressured() {
-					fr := rep.FaultRate()
-					for r := int64(0); r < run; r++ {
-						for i := range fold {
-							faults += fold[i].cpuSec * fr
-						}
-					}
 				}
 				seg += run
 				if t += run; t == k {
@@ -1223,7 +1183,7 @@ func (e *foldEnd) advance(n *Node, fold []foldJob, k int64, partial bool) (seg i
 		// Then one tick in full. On a stale tick each job first closes its
 		// charge after seg ticks and takes q's at the residency it is due:
 		// a partial one only on the first tick after a rebuild, which skips
-		// a job resident for none of it, as Tick does.
+		// a job resident for none of it.
 		total, pressured := rep.Total(), rep.Pressured()
 		made := seg + 1
 		if stale {
@@ -1236,18 +1196,30 @@ func (e *foldEnd) advance(n *Node, fold []foldJob, k int64, partial bool) (seg i
 				f.sum.add(f.charge, seg)
 				f.done += f.charge.cpu * time.Duration(seg)
 				resid := f.resid
-				f.charge, f.cpuSec, f.resid = charge{}, 0, e.dt
+				f.charge, f.resid = charge{}, e.dt
 				if resid <= 0 {
 					steady = steady && f.cursor.Flat() && f.cursor.Covers(f.done)
 					continue
 				}
 				f.charge = q.charge(f.ioPer, resid, f.j.CPUDemand-f.done)
-				f.cpuSec = float64(f.charge.cpu) / float64(time.Second)
-			}
-			if rep.Pressured() { // the fault rate is nonzero exactly under pressure
-				faults += f.cpuSec * rep.FaultRate()
 			}
 			done := f.done + f.charge.cpu*time.Duration(made)
+			if done >= f.j.CPUDemand {
+				// The job completes: it closes its charge, and a charge
+				// taken before its last tick is capped at what remains.
+				if !stale {
+					f.sum.add(f.charge, seg)
+					f.done += f.charge.cpu * time.Duration(seg)
+					f.charge = q.charge(f.ioPer, e.dt, f.j.CPUDemand-f.done)
+				}
+				f.sum.add(f.charge, 1)
+				f.done += f.charge.cpu
+				f.charge = charge{}
+				rep.Step(f.demand, 0)
+				f.demand = 0
+				finished = t + 1
+				continue
+			}
 			if !f.cursor.Covers(done) {
 				*f.cursor = f.j.SegmentAt(done)
 			} else if f.cursor.Flat() {
@@ -1262,14 +1234,17 @@ func (e *foldEnd) advance(n *Node, fold []foldJob, k int64, partial bool) (seg i
 		// A partial residency is credited once: the next tick recharges.
 		seg, stale, partial = made, partial, false
 		t++
+		if finished > 0 {
+			break
+		}
 		// Below user memory with no I/O-active job the stall and cache miss
 		// stay zero whatever the total does, so the quantum holds.
 		if rep.Total() != total && (pressured || rep.Pressured() || io) {
 			stale = q.setPressure(rep.Stall(), 1-n.cacheAvailabilityAt(rep.Total())) || stale
 		}
 	}
-	e.q, e.rep, e.stale, e.steady, n.faults = qv, repv, stale, steady, faults
-	return seg
+	e.q, e.rep, e.stale, e.steady = qv, repv, stale, steady
+	return seg, finished
 }
 
 // rampJob is one ramping job in a ramp run: its fold entry, its CPU
@@ -1286,8 +1261,7 @@ type rampJob struct {
 // does; a tick commits only if every intermediate total stays in [0, user],
 // where no Step would re-evaluate the pressure terms and so the quantum
 // holds. The first tick that would leave that range is left for a full
-// tick. Flat jobs neither step nor leave their cursors inside the run, and
-// no faults accrue below user memory.
+// tick. Flat jobs neither step nor leave their cursors inside the run.
 func rampRun(ramps []rampJob, rep *memory.Replay, run int64) int64 {
 	total, user := rep.Total(), rep.UserMB()
 	r := int64(0)

@@ -99,7 +99,7 @@ func TestSingleJobRunsAtFullSpeed(t *testing.T) {
 	var done []*job.Job
 	for i := 0; i < 200 && len(done) == 0; i++ {
 		now += dt
-		d, err := n.Tick(dt, now)
+		d, err := n.Fold(dt, now, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestTwoJobsShareCPU(t *testing.T) {
 	dt := 10 * time.Millisecond
 	for i := 0; i < 300 && n.NumJobs() > 0; i++ {
 		now += dt
-		if _, err := n.Tick(dt, now); err != nil {
+		if _, err := n.Fold(dt, now, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -165,7 +165,7 @@ func TestMemoryPressureSlowsJobs(t *testing.T) {
 		dt := 10 * time.Millisecond
 		for i := 0; i < 10000 && n.NumJobs() > 0; i++ {
 			now += dt
-			if _, err := n.Tick(dt, now); err != nil {
+			if _, err := n.Fold(dt, now, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -201,7 +201,7 @@ func TestSlowerCPUSlowsProgress(t *testing.T) {
 	dt := 10 * time.Millisecond
 	for i := 0; i < 1000 && slow.NumJobs() > 0; i++ {
 		now += dt
-		if _, err := slow.Tick(dt, now); err != nil {
+		if _, err := slow.Fold(dt, now, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -297,10 +297,10 @@ func TestReservationFlag(t *testing.T) {
 
 func TestTickRejectsBadQuantum(t *testing.T) {
 	n := newNode(t, 1000, 4)
-	if _, err := n.Tick(0, 0); err == nil {
+	if _, err := n.Fold(0, 0, 1); err == nil {
 		t.Error("zero quantum should error")
 	}
-	if _, err := n.Tick(-time.Second, 0); err == nil {
+	if _, err := n.Fold(-time.Second, 0, 1); err == nil {
 		t.Error("negative quantum should error")
 	}
 }
@@ -324,7 +324,7 @@ func TestDemandTracksPhases(t *testing.T) {
 	dt := 10 * time.Millisecond
 	for i := 0; i < 60; i++ { // ~600ms of progress, past the ramp
 		now += dt
-		if _, err := n.Tick(dt, now); err != nil {
+		if _, err := n.Fold(dt, now, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -350,7 +350,7 @@ func TestTickConservationProperty(t *testing.T) {
 			jobs = append(jobs, j)
 		}
 		dt := 10 * time.Millisecond
-		if _, err := n.Tick(dt, dt); err != nil {
+		if _, err := n.Fold(dt, dt, 1); err != nil {
 			return false
 		}
 		for _, j := range jobs {
@@ -425,7 +425,7 @@ func TestIOStallUnderCachePressure(t *testing.T) {
 		dt := 10 * time.Millisecond
 		for i := 0; i < 30000 && ioJob.State() != job.StateDone; i++ {
 			now += dt
-			if _, err := n.Tick(dt, now); err != nil {
+			if _, err := n.Fold(dt, now, 1); err != nil {
 				t.Fatal(err)
 			}
 		}

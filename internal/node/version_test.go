@@ -64,12 +64,9 @@ var statusMutators = []versionCase{
 	{"StartDrain", nil, func(t *testing.T, n *Node) error { return n.StartDrain() }},
 	{"Remove", nil, func(t *testing.T, n *Node) error { return n.Remove() }},
 	{"Restore", nil, func(t *testing.T, n *Node) error { n.Restore(n.Snapshot()); return nil }},
-	{"Tick", admitOne, func(t *testing.T, n *Node) error {
-		_, err := n.Tick(10*time.Millisecond, 10*time.Millisecond)
-		return err
-	}},
 	{"Fold", admitOne, func(t *testing.T, n *Node) error {
-		return n.Fold(10*time.Millisecond, 10*time.Millisecond, 3)
+		_, err := n.Fold(10*time.Millisecond, 10*time.Millisecond, 3)
+		return err
 	}},
 }
 
@@ -77,7 +74,7 @@ var statusMutators = []versionCase{
 // setters of hooks that observe the node without changing its status.
 var statusNeutral = []string{
 	"CPUDelivered", "CacheAvailability", "CompletionFloor", "Config", "DemandAt", "Down",
-	"Draining", "ExpectedCount", "Faults", "HasSlot", "ID", "IOActiveJobs",
+	"Draining", "ExpectedCount", "HasSlot", "ID", "IOActiveJobs",
 	"IOStall", "IdleMB", "JobAt", "Jobs", "LoadStatus", "Memory",
 	"MostMemoryIntensiveJob", "NumJobs", "Pressured", "Removed", "Reserved",
 	"ReservedJobCount", "SetPressureWatcher", "SetResidencyWatcher",

@@ -185,7 +185,10 @@ func (l *Log) Validate() error {
 		return fmt.Errorf("record: node count %d must be positive", l.Nodes)
 	}
 	seen := make(map[int]bool, len(l.Jobs))
-	for _, jt := range l.Jobs {
+	for i, jt := range l.Jobs {
+		if jt == nil {
+			return fmt.Errorf("record: job %d is null", i)
+		}
 		if seen[jt.Header.JobID] {
 			return fmt.Errorf("record: duplicate job %d", jt.Header.JobID)
 		}

@@ -2,6 +2,7 @@ package record
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -136,6 +137,7 @@ func TestDecodeRejectsInvalid(t *testing.T) {
 		{"bad home", `{"name":"x","intervalMillis":10,"nodes":2,"jobs":[{"header":{"jobId":1,"cpuMillis":5,"home":7}}]}`},
 		{"zero lifetime", `{"name":"x","intervalMillis":10,"nodes":2,"jobs":[{"header":{"jobId":1,"cpuMillis":0,"home":0}}]}`},
 		{"out of order", `{"name":"x","intervalMillis":10,"nodes":2,"jobs":[{"header":{"jobId":1,"cpuMillis":5,"home":0},"activities":[{"offsetMillis":20},{"offsetMillis":10}]}]}`},
+		{"null job", `{"intervalMillis":10,"nodes":1,"jobs":[null]}`},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -143,5 +145,15 @@ func TestDecodeRejectsInvalid(t *testing.T) {
 				t.Error("expected error")
 			}
 		})
+	}
+}
+
+// TestDecodeNamesNullJob pins the error for a null entry in the job list:
+// it names the entry's index instead of dereferencing it.
+func TestDecodeNamesNullJob(t *testing.T) {
+	in := `{"intervalMillis":10,"nodes":1,"jobs":[{"header":{"jobId":1,"cpuMillis":5}},null]}`
+	_, err := Decode(strings.NewReader(in))
+	if err == nil || !strings.Contains(err.Error(), "job 1 is null") {
+		t.Fatalf("Decode = %v, want an error naming job 1", err)
 	}
 }

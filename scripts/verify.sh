@@ -5,17 +5,18 @@
 # runner stress test (internal/runner). The fault-injection and lease
 # packages get a second -count=2 pass (catches cross-run state leakage in
 # the seeded fault streams), the steady-state zero-allocation guard runs
-# without the race detector, the quantum fold is fuzzed against dense ticks
-# for 20 s and its resume across status mutations for 10 s, the phase
-# cursor against MemoryDemandAtMB for 10 s, the fault injector's drop
-# runs against one draw per period, its streams against math/rand and its
-# plan validation for 10 s each, the benchmark module's tests (bench/)
-# check its result goldens, a vrsim run with every fault dimension
-# enabled smoke-tests self-healing end to end, a level-1 chaos grid
-# (membership churn + domain faults, invariant auditor on) must complete
-# with zero violations, the forked seed and what-if grids run once, and
-# every package's benchmarks run for a single iteration each (a smoke check
-# that they still execute; bench/ is where performance is measured).
+# without the race detector, the quantum fold is fuzzed against the
+# reference tick for 20 s and its resume across status mutations for 10 s,
+# the phase cursor against MemoryDemandAtMB for 10 s, the fault injector's
+# drop runs against one draw per period, its streams against math/rand and
+# its plan validation for 10 s each, the record and JSONL readers for 10 s
+# each, the benchmark module's tests (bench/) check its result goldens, a
+# vrsim run with every fault dimension enabled smoke-tests self-healing end
+# to end, a level-1 chaos grid (membership churn + domain faults,
+# invariant auditor on) must complete with zero violations, the forked
+# seed and what-if grids run once, and every package's benchmarks run for
+# a single iteration each (a smoke check that they still execute; bench/
+# is where performance is measured).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -37,7 +38,8 @@ go test -race -timeout 45m -count=2 ./internal/faults/... ./internal/core/...
 echo "== go test -run TestSteadyStateAllocs ."
 go test -count=1 -run '^TestSteadyStateAllocs$' .
 # go test ./... replays the fold fuzzer's committed seed corpus; a short
-# fuzzing run explores past it (fold vs. dense ticks, bit for bit).
+# fuzzing run explores past it (fold vs. reference ticks, bit for bit,
+# completions included).
 echo "== go test ./internal/node -fuzz FuzzFoldMatchesTick (20 s)"
 go test ./internal/node -run '^$' -fuzz FuzzFoldMatchesTick -fuzztime 20s
 # A fold split into parts resumes where the last part ended, across the
@@ -69,6 +71,12 @@ go test ./internal/stats -run '^$' -fuzz FuzzQuantile -fuzztime 10s
 # Encode/Decode round trip and materializes into jobs or an error.
 echo "== go test ./internal/trace -fuzz FuzzTraceDecode (10 s)"
 go test ./internal/trace -run '^$' -fuzz FuzzTraceDecode -fuzztime 10s
+# The run-recording and JSONL event readers: never panic, every JSONL
+# error names its line, and what they accept survives a round trip.
+echo "== go test ./internal/record -fuzz FuzzRecordDecode (10 s)"
+go test ./internal/record -run '^$' -fuzz FuzzRecordDecode -fuzztime 10s
+echo "== go test ./internal/obs -fuzz FuzzReadJSONL (10 s)"
+go test ./internal/obs -run '^$' -fuzz FuzzReadJSONL -fuzztime 10s
 # bench/ is its own module, so go test ./... above does not reach it. Its
 # goldens pin the result digests of all four benchmark workloads at seeds
 # 42 and 7.
