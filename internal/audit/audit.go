@@ -185,7 +185,8 @@ func (a *Auditor) Check(s Snapshot) error {
 		a.epoch = 1
 	}
 	resident := 0
-	for _, n := range s.Nodes {
+	for i := range s.Nodes {
+		n := &s.Nodes[i]
 		for _, id := range n.Resident {
 			if err := a.place(s.Now, id, location{inResident, int32(n.ID)}); err != nil {
 				return err
@@ -217,8 +218,10 @@ func (a *Auditor) Check(s Snapshot) error {
 			len(s.Pending), len(s.Stranded), len(s.Wire), s.RemoteInFlight)
 	}
 
-	// Per-node accounting and membership integrity.
-	for _, n := range s.Nodes {
+	// Per-node accounting and membership integrity, read in place: a
+	// view is 72 bytes.
+	for i := range s.Nodes {
+		n := &s.Nodes[i]
 		if n.Removed {
 			if len(n.Resident) > 0 || n.Held > 0 {
 				return a.fail(s.Now, "removed-node emptiness",

@@ -286,8 +286,8 @@ type Cluster struct {
 	homes    map[int]int      // job ID -> home workstation (crash requeues)
 	obs      *obs.Tracer      // nil unless a sink is installed
 
-	// sampleBuf is the per-node sample batch sampleObs refills every
-	// sample tick and hands to the tracer in one EmitSamples call.
+	// sampleBuf is the per-node sample batch readSamples refills every
+	// sample tick; the metrics collector and the tracer both read it.
 	sampleBuf []obs.Event
 }
 
@@ -382,24 +382,22 @@ func (c *Cluster) emit(k obs.Kind, nodeID, jobID, aux int, val float64, flags ui
 	})
 }
 
-// sampleObs emits the periodic per-node time series (idle memory,
-// resident jobs, reserved/down flags) alongside the metrics sample, and
-// refreshes the live telemetry gauges when a metrics series is attached.
-func (c *Cluster) sampleObs() {
-	if c.obs == nil {
-		return
-	}
-	now := c.engine.Now()
+// readSamples reads every live workstation once into sampleBuf, one
+// KindNodeSample event each (idle memory, resident jobs, reserved, down and
+// draining flags) in node order, and returns the batch. Each event is
+// written field by field in place: a composite literal would be built in a
+// temporary and then copied over the slot.
+func (c *Cluster) readSamples() []obs.Event {
 	if cap(c.sampleBuf) < len(c.nodes) {
-		c.sampleBuf = make([]obs.Event, 0, len(c.nodes))
+		c.sampleBuf = make([]obs.Event, len(c.nodes))
 	}
-	samples := c.sampleBuf[:0]
+	buf := c.sampleBuf[:cap(c.sampleBuf)]
+	now := c.engine.Now()
 	live := 0
 	for _, n := range c.nodes {
 		if n.Removed() {
 			continue
 		}
-		live++
 		var fl uint8
 		if n.Reserved() {
 			fl |= obs.FlagReserved
@@ -410,24 +408,34 @@ func (c *Cluster) sampleObs() {
 		if n.Draining() {
 			fl |= obs.FlagDrain
 		}
-		samples = append(samples, obs.Event{
-			At:    now,
-			Kind:  obs.KindNodeSample,
-			Flags: fl,
-			Node:  int32(n.ID()),
-			Job:   -1,
-			Aux:   int32(n.NumJobs()),
-			Val:   n.IdleMB(),
-		})
+		e := &buf[live]
+		e.At = now
+		e.Kind = obs.KindNodeSample
+		e.Flags = fl
+		e.Node = int32(n.ID())
+		e.Job = -1
+		e.Aux = int32(n.NumJobs())
+		e.Val = n.IdleMB()
+		live++
 	}
-	c.sampleBuf = samples
+	c.sampleBuf = buf[:live]
+	return c.sampleBuf
+}
+
+// sampleObs hands the sample batch to the tracer as the periodic per-node
+// time series, and refreshes the live telemetry gauges when a metrics
+// series is attached.
+func (c *Cluster) sampleObs(samples []obs.Event) {
+	if c.obs == nil {
+		return
+	}
 	c.obs.EmitSamples(samples)
 	if m := c.obs.Metrics(); m != nil {
 		pressured := 0
 		for _, w := range c.pressured {
 			pressured += bits.OnesCount64(w)
 		}
-		m.SetClusterGauges(now, len(c.pending), c.outstanding, c.activeCount, pressured, live)
+		m.SetClusterGauges(c.engine.Now(), len(c.pending), c.outstanding, c.activeCount, pressured, len(samples))
 	}
 }
 
@@ -785,8 +793,9 @@ func (c *Cluster) Start(tr *trace.Trace) error {
 	}
 
 	c.sampleTicker, err = sim.NewTicker(c.engine, c.cfg.SampleInterval, func() {
-		c.col.Observe(c.engine.Now(), c.nodes, len(c.pending))
-		c.sampleObs()
+		samples := c.readSamples()
+		c.col.Observe(c.engine.Now(), samples, len(c.pending))
+		c.sampleObs(samples)
 	})
 	if err != nil {
 		return err

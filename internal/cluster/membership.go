@@ -412,22 +412,23 @@ func (c *Cluster) auditSnapshot() audit.Snapshot {
 	}
 	s.Nodes = s.Nodes[:len(c.nodes)]
 	for i, n := range c.nodes {
-		ids := s.Nodes[i].Resident[:0]
+		// Field by field through a pointer: a composite literal would be
+		// built in a temporary and then copied over the view.
+		v := &s.Nodes[i]
+		ids := v.Resident[:0]
 		for k := 0; k < n.NumJobs(); k++ {
 			ids = append(ids, n.JobAt(k).ID)
 		}
-		s.Nodes[i] = audit.NodeView{
-			ID:       n.ID(),
-			Resident: ids,
-			Held:     n.ExpectedCount(),
-			Reserved: n.Reserved(),
-			Down:     n.Down(),
-			Draining: n.Draining(),
-			Removed:  n.Removed(),
-			IdleMB:   n.IdleMB(),
-			UserMB:   n.Memory().UserMB(),
-			Slots:    n.Slots(),
-		}
+		v.ID = n.ID()
+		v.Resident = ids
+		v.Held = n.ExpectedCount()
+		v.Reserved = n.Reserved()
+		v.Down = n.Down()
+		v.Draining = n.Draining()
+		v.Removed = n.Removed()
+		v.IdleMB = n.IdleMB()
+		v.UserMB = n.Memory().UserMB()
+		v.Slots = n.Slots()
 	}
 	return *s
 }

@@ -267,3 +267,60 @@ func TestLeaseCrashDrainInterleavings(t *testing.T) {
 	}
 	_ = sawDrainBreak // drain-broken leases depend on the seed; logged via stats when they occur
 }
+
+// refillChecker runs the in-place refill check at every control period of
+// the scheduler it wraps.
+type refillChecker struct {
+	cluster.Scheduler
+	t   *testing.T
+	cov cluster.RefillCoverage
+}
+
+func (r *refillChecker) OnControl(c *cluster.Cluster, now time.Duration) {
+	r.Scheduler.OnControl(c, now)
+	if err := cluster.CheckRefills(c, &r.cov); err != nil {
+		r.t.Fatalf("at %v: %v", now, err)
+	}
+}
+
+// TestAuditViewsAndSamplesRefilledInPlace refills the reused audit views
+// and sample batch over sentinels at every control period of a run with
+// reservations, crashes, drains, removals and a join, and holds every view
+// and sample to a freshly built one (cluster.CheckRefills).
+func TestAuditViewsAndSamplesRefilledInPlace(t *testing.T) {
+	// App-Trace-2 on Cluster2, where jobs block and V-Reconfiguration
+	// reserves workstations, with domain crash waves, a join and a drain.
+	tr, err := trace.Standard(workload.Group2, 2, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := core.NewVReconfiguration(core.Options{Lease: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := cluster.Cluster2()
+	cfg.Quantum = 100 * time.Millisecond
+	cfg.Audit = true
+	cfg.Faults = faults.Plan{Seed: 42, Crash: faults.Requeue, Domains: 8, DomainMTBF: time.Hour}
+	cfg.Membership = []cluster.MembershipEvent{
+		{At: 5 * time.Minute, Kind: cluster.MemberJoin, Node: cfg.Nodes[0]},
+		{At: 12 * time.Minute, Kind: cluster.MemberDrain, ID: 3},
+	}
+	chk := &refillChecker{Scheduler: sched, t: t}
+	c, err := cluster.New(cfg, chk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Run(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.NodesJoined != 1 || res.NodesRemoved != 1 {
+		t.Errorf("joined %d, removed %d, want 1 each", res.NodesJoined, res.NodesRemoved)
+	}
+	cov := chk.cov
+	t.Logf("%+v", cov)
+	if cov.Reserved == 0 || cov.Down == 0 || cov.Draining == 0 || cov.Removed == 0 {
+		t.Errorf("coverage %+v: want views compared while reserved, down, draining and removed", cov)
+	}
+}

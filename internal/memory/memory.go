@@ -379,9 +379,13 @@ func (r *Replay) UserMB() float64 { return r.user }
 
 // SetUnpressured moves an unpressured cursor to total, the end of a chain
 // of Steps the caller accumulated itself (total += new - old, in order)
-// whose every intermediate total lay in [0, UserMB]: along such a chain no
-// Step re-evaluates the pressure terms, so only the total moves. The
-// cursor is left as the last Step would have left it.
+// whose every intermediate total was at least zero and whose final total
+// is at most UserMB: along such a chain no Step clamps, and a total that
+// passes above UserMB and comes back re-evaluates the pressure terms to
+// zero again, so only the total moves. The cursor is left as the last Step
+// would have left it, except that such an excursion would have read the
+// fault service into the cached fault field, which nothing reads while the
+// cursor is unpressured.
 func (r *Replay) SetUnpressured(total float64) {
 	r.total = total
 	if r.total < 0 || r.total > r.user || r.pressured {

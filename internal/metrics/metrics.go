@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"vrcluster/internal/job"
-	"vrcluster/internal/node"
+	"vrcluster/internal/obs"
 	"vrcluster/internal/stats"
 )
 
@@ -83,23 +83,24 @@ func NewCollector(interval time.Duration) (*Collector, error) {
 // Interval reports the sampling period.
 func (c *Collector) Interval() time.Duration { return c.interval }
 
-// Observe records one sample of the cluster's nodes at virtual time now.
-// pending is the number of submissions currently blocked cluster-wide.
-func (c *Collector) Observe(now time.Duration, nodes []*node.Node, pending int) {
+// Observe records one sample of the cluster at virtual time now from the
+// per-node sample batch (one obs.KindNodeSample event per live workstation,
+// in node order: Val its idle memory, Aux its resident jobs, Flags its
+// reserved bit). pending is the number of submissions currently blocked
+// cluster-wide.
+func (c *Collector) Observe(now time.Duration, samples []obs.Event, pending int) {
 	idle := 0.0
 	running, reserved := 0, 0
 	counts := c.scratch[:0]
-	for _, n := range nodes {
-		if n.Removed() {
-			continue
-		}
-		idle += n.IdleMB()
-		running += n.NumJobs()
-		if n.Reserved() {
+	for i := range samples {
+		s := &samples[i]
+		idle += s.Val
+		running += int(s.Aux)
+		if s.Flags&obs.FlagReserved != 0 {
 			reserved++
 			continue
 		}
-		counts = append(counts, float64(n.NumJobs()))
+		counts = append(counts, float64(s.Aux))
 	}
 	c.samples = append(c.samples, Sample{
 		At:       now,

@@ -10,6 +10,8 @@ import (
 	"vrcluster/internal/job"
 	"vrcluster/internal/memory"
 	"vrcluster/internal/node"
+	"vrcluster/internal/obs"
+	"vrcluster/internal/stats"
 )
 
 func buildNode(t *testing.T, id int, capacityMB float64) *node.Node {
@@ -22,6 +24,38 @@ func buildNode(t *testing.T, id int, capacityMB float64) *node.Node {
 		t.Fatal(err)
 	}
 	return n
+}
+
+// sample is one live workstation's entry in the batch Observe reads.
+func sample(node int, idleMB float64, jobs int, flags uint8) obs.Event {
+	return obs.Event{
+		Kind: obs.KindNodeSample, Flags: flags, Node: int32(node),
+		Job: -1, Aux: int32(jobs), Val: idleMB,
+	}
+}
+
+// batch reads the live nodes into a sample batch the way the cluster's
+// sample tick does: one event per node in node order, removed ones left
+// out.
+func batch(nodes ...*node.Node) []obs.Event {
+	var out []obs.Event
+	for _, n := range nodes {
+		if n.Removed() {
+			continue
+		}
+		var fl uint8
+		if n.Reserved() {
+			fl |= obs.FlagReserved
+		}
+		if n.Down() {
+			fl |= obs.FlagDown
+		}
+		if n.Draining() {
+			fl |= obs.FlagDrain
+		}
+		out = append(out, sample(n.ID(), n.IdleMB(), n.NumJobs(), fl))
+	}
+	return out
 }
 
 func doneJob(t *testing.T, id int, cpu, wall time.Duration) *job.Job {
@@ -68,7 +102,7 @@ func TestObserveAndAverages(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 4; i++ {
-		c.Observe(time.Duration(i)*time.Second, []*node.Node{a, b}, 0)
+		c.Observe(time.Duration(i)*time.Second, batch(a, b), 0)
 	}
 	idle, err := c.AvgIdleMB(time.Second)
 	if err != nil {
@@ -92,10 +126,7 @@ func TestReservedNodesExcludedFromSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := buildNode(t, 0, 100)
-	b := buildNode(t, 1, 100)
-	b.SetReserved(true)
-	c.Observe(time.Second, []*node.Node{a, b}, 0)
+	c.Observe(time.Second, []obs.Event{sample(0, 100, 0, 0), sample(1, 100, 0, obs.FlagReserved)}, 0)
 	skew, err := c.AvgSkew(time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -113,14 +144,81 @@ func TestReservedNodesExcludedFromSkew(t *testing.T) {
 	}
 }
 
+// TestObserveBatchMatchesNodeWalk pins Observe over a sample batch to what
+// a walk over the workstations themselves gives: idle memory and resident
+// jobs summed over the live nodes in node order, a reserved node counted
+// and left out of the skew, a down node kept in, and a removed node absent
+// from every figure.
+func TestObserveBatchMatchesNodeWalk(t *testing.T) {
+	admit := func(n *node.Node, id int, mb float64) {
+		t.Helper()
+		j, err := job.New(id, "p", time.Hour, []job.Phase{{EndFrac: 1, StartMB: mb, EndMB: mb}}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Admit(j, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	busy := buildNode(t, 0, 100) // two jobs, idle 35.5
+	admit(busy, 1, 40)
+	admit(busy, 2, 24.5)
+	reserved := buildNode(t, 1, 100) // one job, idle 70.25, reserved
+	admit(reserved, 3, 29.75)
+	reserved.SetReserved(true)
+	removed := buildNode(t, 2, 100)
+	if err := removed.Remove(); err != nil {
+		t.Fatal(err)
+	}
+	down := buildNode(t, 3, 100)
+	if _, err := down.Crash(0); err != nil {
+		t.Fatal(err)
+	}
+	single := buildNode(t, 4, 80) // one job, idle 70.1
+	admit(single, 4, 9.9)
+	nodes := []*node.Node{busy, reserved, removed, down, single}
+
+	// The node walk the collector made before it read the batch.
+	idle, running, nres := 0.0, 0, 0
+	var counts []float64
+	for _, n := range nodes {
+		if n.Removed() {
+			continue
+		}
+		idle += n.IdleMB()
+		running += n.NumJobs()
+		if n.Reserved() {
+			nres++
+			continue
+		}
+		counts = append(counts, float64(n.NumJobs()))
+	}
+	want := Sample{At: time.Second, IdleMB: idle, Skew: stats.StdDev(counts), Running: running, Pending: 2, Reserved: nres}
+	if want.Running != 4 || want.Reserved != 1 || want.IdleMB != 35.5+70.25+100+(80-9.9) {
+		t.Fatalf("node walk = %+v, want running 4, reserved 1, idle %v", want, 35.5+70.25+100+(80-9.9))
+	}
+
+	c, err := NewCollector(time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Observe(time.Second, batch(nodes...), 2)
+	if got := c.Samples(); len(got) != 1 || got[0] != want {
+		t.Fatalf("batch sample = %+v, want the node walk's %+v", got, want)
+	}
+	// Skew over {2, 0, 1}: population stddev sqrt(2/3).
+	if math.Abs(want.Skew-math.Sqrt(2.0/3)) > 1e-12 {
+		t.Errorf("skew = %v, want sqrt(2/3)", want.Skew)
+	}
+}
+
 func TestIntervalSubsampling(t *testing.T) {
 	c, err := NewCollector(time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := buildNode(t, 0, 100)
 	for i := 1; i <= 60; i++ {
-		c.Observe(time.Duration(i)*time.Second, []*node.Node{n}, 0)
+		c.Observe(time.Duration(i)*time.Second, []obs.Event{sample(0, 100, 0, 0)}, 0)
 	}
 	// Constant series: every interval yields the same average — the
 	// paper's insensitivity observation holds trivially here.
@@ -153,8 +251,7 @@ func TestBuildResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := buildNode(t, 0, 100)
-	c.Observe(time.Second, []*node.Node{n}, 0)
+	c.Observe(time.Second, []obs.Event{sample(0, 100, 0, 0)}, 0)
 	c.Migrations = 3
 	c.BlockingEpisodes = 2
 
@@ -235,7 +332,7 @@ func TestSamplesReturnsCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Observe(time.Second, []*node.Node{buildNode(t, 0, 100)}, 0)
+	c.Observe(time.Second, []obs.Event{sample(0, 100, 0, 0)}, 0)
 	s := c.Samples()
 	s[0].IdleMB = -1
 	if c.Samples()[0].IdleMB == -1 {
@@ -277,7 +374,7 @@ func TestWriteCSVSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Observe(time.Second, []*node.Node{buildNode(t, 0, 100)}, 3)
+	c.Observe(time.Second, []obs.Event{sample(0, 100, 0, 0)}, 3)
 	var buf bytes.Buffer
 	if err := c.WriteCSV(&buf); err != nil {
 		t.Fatal(err)

@@ -307,8 +307,8 @@ func TestFoldRegimes(t *testing.T) {
 			// but the total sits 0.001 MB below user memory while each
 			// tick's first step (the middle job's) lifts it past by more
 			// and the last step brings it back. A tick with the crossing
-			// inside it is made in full, yet no tick starts pressured, so
-			// no job pages.
+			// inside it stays in the run, since it ends below user memory;
+			// no tick starts pressured, so no job pages.
 			name: "ramp run crossing user memory at a middle job",
 			jobs: []admit{
 				{cpu: time.Minute, phases: flat(39.999)},

@@ -1120,15 +1120,16 @@ func (n *Node) compact() {
 //     stands still too and the run costs one pass over the jobs.
 //   - In a ramp run some job ramps, but the total starts below user memory
 //     and no resident is I/O-active, so the stall and cache miss stay zero
-//     while the total stays in [0, user]; each tick steps only the ramping
-//     jobs' demands (rampRun).
+//     while no step takes the total below zero and every tick ends at or
+//     below user memory; each tick steps only the ramping jobs' demands
+//     (rampRun).
 //   - A full tick is one pass over the jobs; on a tick whose quantum moved,
 //     each job closes its old charge and takes the new one in that same
 //     pass. It is the only per-tick fallback and covers every regime, the
-//     first tick of a ramp run that would leave [0, user] included: a
-//     pressure crossing in either direction is just another total for the
-//     next tick to read. A job completes only on a full tick: it takes a
-//     charge capped at its remaining demand, as every charge is, and its
+//     first tick of a ramp run that would clamp or end pressured included:
+//     a pressure crossing in either direction is just another total for
+//     the next tick to read. A job completes only on a full tick: it takes
+//     a charge capped at its remaining demand, as every charge is, and its
 //     demand leaves the total at its place in job order, as a step to zero.
 //
 // The pressure watcher sees one notification for the whole stretch: it
@@ -1258,10 +1259,13 @@ type rampJob struct {
 // rampRun makes up to run ticks of a ramp run from an unpressured cursor
 // and reports how many it made. Each tick evaluates the ramping jobs'
 // demands a tick on and accumulates their moves in fold order, as Step
-// does; a tick commits only if every intermediate total stays in [0, user],
-// where no Step would re-evaluate the pressure terms and so the quantum
-// holds. The first tick that would leave that range is left for a full
-// tick. Flat jobs neither step nor leave their cursors inside the run.
+// does; a tick commits only if no intermediate total goes below zero,
+// where Step would clamp, and the tick ends at or below user memory, so
+// the quantum holds. A total that passes above user memory between two
+// jobs' steps and comes back below leaves the stall at zero: nothing reads
+// it in between. The first tick that would clamp or end pressured is left
+// for a full tick. Flat jobs neither step nor leave their cursors inside
+// the run.
 func rampRun(ramps []rampJob, rep *memory.Replay, run int64) int64 {
 	total, user := rep.Total(), rep.UserMB()
 	r := int64(0)
@@ -1272,10 +1276,13 @@ ticks:
 			p := &ramps[x]
 			f := p.f
 			if p.next = f.cursor.DemandAt(p.svc + f.charge.cpu); p.next != f.demand {
-				if tot += p.next - f.demand; tot < 0 || tot > user {
+				if tot += p.next - f.demand; tot < 0 {
 					break ticks
 				}
 			}
+		}
+		if tot > user {
+			break
 		}
 		total = tot
 		for x := range ramps {
