@@ -11,6 +11,7 @@ import (
 
 	"vrcluster/internal/cluster"
 	"vrcluster/internal/core"
+	"vrcluster/internal/experiments"
 	"vrcluster/internal/faults"
 	"vrcluster/internal/job"
 	"vrcluster/internal/memory"
@@ -208,6 +209,28 @@ func BenchmarkClusterRunPressured(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := c.Run(tr); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkForkGrid measures the forked grids at level 1: a five-seed
+// sensitivity grid, then the standard what-if grid, each forking every
+// cell from one shared warmup, as bench's forkgrid workload does.
+func BenchmarkForkGrid(b *testing.B) {
+	cfg := experiments.RunConfig{
+		Group:    workload.Group2,
+		Quantum:  benchQuantum,
+		Parallel: 1,
+		Fork:     true,
+	}
+	seeds := []int64{42, 43, 44, 45, 46}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := experiments.SeedSensitivity(cfg, 1, seeds); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := experiments.WhatIfGrid(cfg, 1, experiments.StandardWhatIfs(cfg)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -401,14 +401,6 @@ func (in *Injector) AddNode(id int) error {
 	return nil
 }
 
-// Domain reports the failure domain of a node, or -1 when domains are off.
-func (in *Injector) Domain(nodeID int) int {
-	if in.plan.Domains <= 0 {
-		return -1
-	}
-	return nodeID % in.plan.Domains
-}
-
 // Partitioned reports whether nodeID's failure domain is currently
 // network-partitioned from the rest of the cluster.
 func (in *Injector) Partitioned(nodeID int) bool {

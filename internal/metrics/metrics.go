@@ -27,10 +27,93 @@ type Sample struct {
 	Reserved int     // workstations under reservation
 }
 
+// chunkLen is the number of samples in one chunk of a series.
+const chunkLen = 512
+
+// chunk is one full stretch of a sample series.
+type chunk [chunkLen]Sample
+
+// series is a sample series stored as sealed chunks plus a tail. A sealed
+// chunk is full and never written again, so every Snapshot and Clone holds
+// it by reference. The tail (fewer than chunkLen samples) is written in
+// place only while own backs it; a copied tail is read-only, and the next
+// Observe moves it into a chunk first.
+type series struct {
+	sealed []*chunk
+	tail   []Sample
+	own    *chunk   // backs tail while this series may write it in place
+	shared int      // sealed[:shared] have been handed to a Snapshot or Clone
+	spare  []*chunk // chunks sealed and then rewound away unshared, for reuse
+}
+
+// len reports the number of samples in the series.
+func (s *series) len() int { return len(s.sealed)*chunkLen + len(s.tail) }
+
+// at returns the i-th sample.
+func (s *series) at(i int) *Sample {
+	if k := i / chunkLen; k < len(s.sealed) {
+		return &s.sealed[k][i%chunkLen]
+	}
+	return &s.tail[i-len(s.sealed)*chunkLen]
+}
+
+// push appends one sample, sealing the tail once it is full.
+func (s *series) push(v Sample) {
+	if s.own == nil {
+		s.own = s.take()
+		s.tail = append(s.own[:0], s.tail...)
+	}
+	s.tail = append(s.tail, v)
+	if len(s.tail) == chunkLen {
+		s.sealed = append(s.sealed, s.own)
+		s.own, s.tail = nil, nil
+	}
+}
+
+// take returns a chunk no Snapshot or Clone holds: a spare if there is one.
+func (s *series) take() *chunk {
+	if n := len(s.spare); n > 0 {
+		ch := s.spare[n-1]
+		s.spare = s.spare[:n-1]
+		return ch
+	}
+	return new(chunk)
+}
+
+// share returns a copy of the series that reads the same samples: the
+// sealed chunks by reference, the tail copied. Every chunk sealed so far
+// is marked shared, so no later rewind reuses it.
+func (s *series) share() series {
+	s.shared = len(s.sealed)
+	return series{
+		sealed: append([]*chunk(nil), s.sealed...),
+		tail:   append([]Sample(nil), s.tail...),
+		shared: len(s.sealed),
+	}
+}
+
+// rewind makes the series read the same samples as from, a series built by
+// share. It reuses the live pointer slice and tail chunk, and keeps the
+// chunks it sealed since the last share as spares: nothing else holds
+// them.
+func (s *series) rewind(from *series) {
+	s.spare = append(s.spare, s.sealed[s.shared:]...)
+	s.sealed = append(s.sealed[:0], from.sealed...)
+	s.shared = len(s.sealed)
+	if len(from.tail) > 0 && s.own == nil {
+		s.own = s.take()
+	}
+	if s.own == nil {
+		s.tail = nil
+		return
+	}
+	s.tail = append(s.own[:0], from.tail...)
+}
+
 // Collector accumulates samples and event counters during a run.
 type Collector struct {
 	interval time.Duration
-	samples  []Sample
+	samples  series
 	scratch  []float64 // Observe's per-sample job-count buffer, reused across ticks
 
 	// Event counters maintained by the cluster and policies.
@@ -102,7 +185,7 @@ func (c *Collector) Observe(now time.Duration, samples []obs.Event, pending int)
 		}
 		counts = append(counts, float64(s.Aux))
 	}
-	c.samples = append(c.samples, Sample{
+	c.samples.push(Sample{
 		At:       now,
 		IdleMB:   idle,
 		Skew:     stats.StdDev(counts),
@@ -113,36 +196,36 @@ func (c *Collector) Observe(now time.Duration, samples []obs.Event, pending int)
 	c.scratch = counts[:0]
 }
 
-// Snapshot captures the collector's counters and sample series for cluster
-// forking.
+// CollectorSnapshot captures the collector's counters and sample series for
+// cluster forking.
 type CollectorSnapshot struct {
-	state   Collector // shallow copy carrying every counter field
-	samples []Sample
+	state Collector // every counter field, and the series as share left it
 }
 
-// Snapshot captures the collector's state.
+// Snapshot captures the collector's state. It shares the sealed chunks of
+// the series and copies only the tail.
 func (c *Collector) Snapshot() *CollectorSnapshot {
-	return &CollectorSnapshot{
-		state:   *c,
-		samples: append([]Sample(nil), c.samples...),
-	}
+	s := &CollectorSnapshot{state: *c}
+	s.state.samples = c.samples.share()
+	return s
 }
 
-// Restore rewinds the collector to a prior Snapshot, reusing the live
-// sample slice's capacity.
+// Restore rewinds the collector to a prior Snapshot. It copies at most the
+// snapshot's tail, into the live tail chunk.
 func (c *Collector) Restore(s *CollectorSnapshot) {
 	samples, scratch := c.samples, c.scratch
 	*c = s.state
-	c.samples = append(samples[:0], s.samples...)
-	c.scratch = scratch
+	samples.rewind(&s.state.samples)
+	c.samples, c.scratch = samples, scratch
 }
 
-// Clone returns an independent deep copy. Forked runs freeze their result
+// Clone returns an independent copy. Forked runs freeze their result
 // against a clone so the shared live collector can be rewound and reused
-// without mutating earlier results.
+// without mutating earlier results; the clone shares the sealed chunks of
+// the series, which neither side writes again.
 func (c *Collector) Clone() *Collector {
 	out := *c
-	out.samples = append([]Sample(nil), c.samples...)
+	out.samples = c.samples.share()
 	out.scratch = nil
 	return &out
 }
@@ -153,7 +236,8 @@ func (c *Collector) WriteCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "seconds,idle_mb,skew,running,pending,reserved"); err != nil {
 		return err
 	}
-	for _, s := range c.samples {
+	for i := range c.samples.len() {
+		s := c.samples.at(i)
 		if _, err := fmt.Fprintf(w, "%.3f,%.3f,%.4f,%d,%d,%d\n",
 			s.At.Seconds(), s.IdleMB, s.Skew, s.Running, s.Pending, s.Reserved); err != nil {
 			return err
@@ -164,9 +248,11 @@ func (c *Collector) WriteCSV(w io.Writer) error {
 
 // Samples returns a copy of the recorded series.
 func (c *Collector) Samples() []Sample {
-	out := make([]Sample, len(c.samples))
-	copy(out, c.samples)
-	return out
+	out := make([]Sample, 0, c.samples.len())
+	for _, ch := range c.samples.sealed {
+		out = append(out, ch[:]...)
+	}
+	return append(out, c.samples.tail...)
 }
 
 // AvgIdleMB averages the idle-memory series, subsampled at a multiple of
@@ -183,7 +269,8 @@ func (c *Collector) AvgSkew(every time.Duration) (float64, error) {
 }
 
 func (c *Collector) avg(every time.Duration, f func(Sample) float64) (float64, error) {
-	if len(c.samples) == 0 {
+	n := c.samples.len()
+	if n == 0 {
 		return 0, errors.New("metrics: no samples recorded")
 	}
 	step := int(every / c.interval)
@@ -191,8 +278,8 @@ func (c *Collector) avg(every time.Duration, f func(Sample) float64) (float64, e
 		return 0, fmt.Errorf("metrics: interval %v below base %v", every, c.interval)
 	}
 	var o stats.Online
-	for i := 0; i < len(c.samples); i += step {
-		o.Add(f(c.samples[i]))
+	for i := 0; i < n; i += step {
+		o.Add(f(*c.samples.at(i)))
 	}
 	return o.Mean(), nil
 }

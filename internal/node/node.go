@@ -147,8 +147,7 @@ type Node struct {
 	// fill up while the memory image is being transferred.
 	incoming map[int]float64
 
-	cpuDelivered time.Duration
-	ioStall      time.Duration // cumulative buffer-cache-miss stall
+	ioStall time.Duration // cumulative buffer-cache-miss stall
 
 	// fold is Fold's per-job state and foldEnd where the last Fold left it;
 	// foldIDs is the demand-commit ID list. A Fold that starts where the
@@ -524,10 +523,6 @@ func (n *Node) cacheAvailabilityAt(total float64) float64 {
 	return min(n.mem.IdleAtMB(total)/need, 1)
 }
 
-// CPUDelivered reports cumulative CPU service delivered to jobs,
-// in demand-reference seconds.
-func (n *Node) CPUDelivered() time.Duration { return n.cpuDelivered }
-
 // LoadStatus is the workstation's published load vector — the CPU, memory,
 // and I/O status the load-information board collects each period.
 type LoadStatus struct {
@@ -707,7 +702,6 @@ type Snapshot struct {
 	ioActive     int
 	lastPressure bool
 	incoming     map[int]float64
-	cpuDelivered time.Duration
 	ioStall      time.Duration
 }
 
@@ -724,7 +718,6 @@ func (n *Node) Snapshot() Snapshot {
 		demand:       append([]float64(nil), n.demand...),
 		ioActive:     n.ioActive,
 		lastPressure: n.lastPressured,
-		cpuDelivered: n.cpuDelivered,
 		ioStall:      n.ioStall,
 	}
 	if len(n.reservedJobs) > 0 {
@@ -769,7 +762,6 @@ func (n *Node) Restore(s Snapshot) {
 	n.removed = s.removed
 	n.ioActive = s.ioActive
 	n.lastPressured = s.lastPressure
-	n.cpuDelivered = s.cpuDelivered
 	n.ioStall = s.ioStall
 	clear(n.reservedJobs)
 	for id := range s.reservedJobs {
@@ -1031,7 +1023,6 @@ func (n *Node) Fold(dt, now time.Duration, k int64) ([]*job.Job, error) {
 		f.done += f.charge.cpu * time.Duration(seg)
 		n.covered[i] = last
 		n.demand[i] = f.demand
-		n.cpuDelivered += f.sum.cpu
 		n.ioStall += f.sum.io
 		if f.done < f.j.CPUDemand {
 			if err := f.j.AccountFold(f.sum.cpu, f.sum.page, f.sum.queue); err != nil {

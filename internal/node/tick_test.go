@@ -45,7 +45,6 @@ func (n *Node) tick(dt time.Duration, now time.Duration) ([]*job.Job, error) {
 			return nil, err
 		}
 		n.ioStall += c.io
-		n.cpuDelivered += c.cpu
 		if finished {
 			done = append(done, j)
 			if err := n.mem.Remove(j.ID); err != nil {

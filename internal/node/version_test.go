@@ -73,7 +73,7 @@ var statusMutators = []versionCase{
 // statusNeutral lists every other exported Node method: accessors, and
 // setters of hooks that observe the node without changing its status.
 var statusNeutral = []string{
-	"CPUDelivered", "CacheAvailability", "CompletionFloor", "Config", "DemandAt", "Down",
+	"CacheAvailability", "CompletionFloor", "Config", "DemandAt", "Down",
 	"Draining", "ExpectedCount", "HasSlot", "ID", "IOActiveJobs",
 	"IOStall", "IdleMB", "JobAt", "Jobs", "LoadStatus", "Memory",
 	"MostMemoryIntensiveJob", "NumJobs", "Pressured", "Removed", "Reserved",

@@ -77,6 +77,10 @@ echo "== go test ./internal/record -fuzz FuzzRecordDecode (10 s)"
 go test ./internal/record -run '^$' -fuzz FuzzRecordDecode -fuzztime 10s
 echo "== go test ./internal/obs -fuzz FuzzReadJSONL (10 s)"
 go test ./internal/obs -run '^$' -fuzz FuzzReadJSONL -fuzztime 10s
+# The sample series shared across snapshots, restores and clones: every
+# collector and snapshot reads as its plain-slice model.
+echo "== go test ./internal/metrics -fuzz FuzzCollectorFork (10 s)"
+go test ./internal/metrics -run '^$' -fuzz FuzzCollectorFork -fuzztime 10s
 # bench/ is its own module, so go test ./... above does not reach it. Its
 # goldens pin the result digests of all four benchmark workloads at seeds
 # 42 and 7.
