@@ -76,21 +76,26 @@ func BenchmarkEngineScheduleCancel(b *testing.B) {
 // foldEnd.advance per sub-benchmark. steady holds flat jobs below user
 // memory (one steady run); unpressured-ramp adds two ramping jobs below it
 // (ramp runs that step only those two); pressured puts the same mix above
-// it, so every tick is made in full. ns/quantum divides out the stretch.
+// it (pressured runs that charge once per tick and step only the two
+// ramps); pressured-io gives its first job an I/O rate, so every tick is
+// made in full. ns/quantum divides out the stretch.
 func BenchmarkNodeFold(b *testing.B) {
 	const foldQuanta = 1000
 	flat := func(mb float64) []job.Phase { return []job.Phase{{EndFrac: 1, StartMB: mb, EndMB: mb}} }
 	ramp := func(from, to float64) []job.Phase {
 		return []job.Phase{{EndFrac: 0.5, StartMB: from, EndMB: to}, {EndFrac: 1, StartMB: to, EndMB: to}}
 	}
+	mix := [][]job.Phase{flat(60), ramp(40, 120), flat(40), ramp(90, 30)}
 	for _, c := range []struct {
 		name   string
 		memMB  float64
 		phases [][]job.Phase
+		ioRate float64 // the first job's
 	}{
-		{"steady", 384, [][]job.Phase{flat(60), flat(80), flat(40), flat(70)}},
-		{"unpressured-ramp", 384, [][]job.Phase{flat(60), ramp(40, 120), flat(40), ramp(90, 30)}},
-		{"pressured", 200, [][]job.Phase{flat(60), ramp(40, 120), flat(40), ramp(90, 30)}},
+		{"steady", 384, [][]job.Phase{flat(60), flat(80), flat(40), flat(70)}, 0},
+		{"unpressured-ramp", 384, mix, 0},
+		{"pressured", 200, mix, 0},
+		{"pressured-io", 200, mix, 2},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			n, err := node.New(node.Config{CPUSpeedMHz: 400, CPUThreshold: 4,
@@ -103,6 +108,9 @@ func BenchmarkNodeFold(b *testing.B) {
 				if jobs[i], err = job.New(i, "fold", time.Hour, ph, 0); err != nil {
 					b.Fatal(err)
 				}
+				if i == 0 {
+					jobs[i].SetIORate(c.ioRate)
+				}
 				if err := n.Admit(jobs[i], 0); err != nil {
 					b.Fatal(err)
 				}
@@ -111,7 +119,7 @@ func BenchmarkNodeFold(b *testing.B) {
 			if _, err := n.Fold(dt, dt, 1); err != nil {
 				b.Fatal(err)
 			}
-			if n.Pressured() != (c.name == "pressured") {
+			if n.Pressured() != (c.memMB < 384) {
 				b.Fatalf("%s: node pressured=%v", c.name, n.Pressured())
 			}
 			snap, js := n.Snapshot(), make([]job.Snapshot, len(jobs))

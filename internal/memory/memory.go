@@ -253,12 +253,6 @@ func (m *Manager) Pressured() bool { return m.PressuredAt(m.total) }
 // PressuredAt reports whether a hypothetical demand total would page.
 func (m *Manager) PressuredAt(total float64) bool { return total > m.UserMB() }
 
-// UnbackedFraction reports the share of demand with no physical backing:
-// 1 - user/total when pressured, else 0.
-func (m *Manager) UnbackedFraction() float64 { return m.unbackedAt(m.total) }
-
-func (m *Manager) unbackedAt(total float64) float64 { return unbacked(m.UserMB(), total) }
-
 // unbacked is the unbacked fraction of a demand total against user memory
 // user: 1 - user/total when the total pages, else 0.
 func unbacked(user, total float64) float64 {
@@ -277,7 +271,7 @@ func (m *Manager) FaultRate() float64 { return m.FaultRateAt(m.total) }
 // FaultRateAt reports the fault rate a hypothetical demand total would
 // produce, via the identical arithmetic as FaultRate.
 func (m *Manager) FaultRateAt(total float64) float64 {
-	return faultRate(m.cfg.FaultScale, m.unbackedAt(total))
+	return faultRate(m.cfg.FaultScale, unbacked(m.UserMB(), total))
 }
 
 // faultRate is the fault rate at unbacked fraction u for fault scale k.
@@ -307,24 +301,25 @@ func (m *Manager) StallPerCPUSecondAt(total float64) float64 {
 
 // Replay is a deterministic stall-replay cursor. It walks the demand-total
 // trajectory a sequence of Update calls would produce — without mutating
-// the manager — and reports the pressure, fault rate and stall dense
-// ticking would observe at each point. Because the cursor evaluates
-// through the same arithmetic as the *At methods the zero-argument
-// accessors delegate to (PressuredAt's comparison, and the unbacked and
-// faultRate helpers behind FaultRateAt), and Step reproduces Update's
-// accumulate-then-clamp exactly, every float the replay yields is
-// bit-identical to the one dense ticking would have computed. Commit the
-// final per-job demands and total with ReplayDemands.
+// the manager — and reports the pressure and stall dense ticking would
+// observe at each point. Step reproduces Update's accumulate-then-clamp
+// exactly and keeps only the total and whether it pages; Stall evaluates
+// the fault model when it is read, through the same arithmetic as
+// StallPerCPUSecondAt (the unbacked and faultRate helpers behind
+// FaultRateAt, times the fault service), so every float the replay yields
+// is bit-identical to the one dense ticking would have computed. A caller
+// that steps several jobs per tick reads the stall once, at the tick's
+// final total. Commit the final per-job demands and total with
+// ReplayDemands.
 type Replay struct {
 	m     *Manager
 	user  float64 // UserMB, fixed for the cursor's life
 	scale float64 // the fault scale
 	total float64
 
-	// The pressure terms at total, both zero while it is not pressured.
-	// fault is the fault service in seconds, read on first need.
+	// pressured is PressuredAt(total); fault is the fault service in
+	// seconds, read on first need.
 	pressured bool
-	rate      float64
 	fault     float64
 }
 
@@ -335,21 +330,13 @@ func (m *Manager) Replay() Replay {
 	return r
 }
 
-// eval clamps the cursor's total at zero, as Update does, and evaluates the
-// pressure terms there: PressuredAt's comparison and FaultRateAt's
-// arithmetic, against the user memory and fault scale read once.
+// eval clamps the cursor's total at zero, as Update does, and compares it
+// with user memory, as PressuredAt does.
 func (r *Replay) eval() {
 	if r.total < 0 {
 		r.total = 0
 	}
 	r.pressured = r.total > r.user
-	r.rate = 0
-	if r.pressured {
-		r.rate = faultRate(r.scale, unbacked(r.user, r.total))
-		if r.fault == 0 {
-			r.fault = r.m.faultService().Seconds()
-		}
-	}
 }
 
 // Total reports the cursor's running demand total.
@@ -358,9 +345,17 @@ func (r *Replay) Total() float64 { return r.total }
 // Pressured reports whether the cursor's total would be paging.
 func (r *Replay) Pressured() bool { return r.pressured }
 
-// Stall reports StallPerCPUSecond at the cursor's total: the same product
-// of fault rate and service seconds (zero times zero when unpressured).
-func (r *Replay) Stall() float64 { return r.rate * r.fault }
+// Stall reports StallPerCPUSecond at the cursor's total: the fault rate
+// there times the fault service in seconds, and zero while unpressured.
+func (r *Replay) Stall() float64 {
+	if !r.pressured {
+		return 0
+	}
+	if r.fault == 0 {
+		r.fault = r.m.faultService().Seconds()
+	}
+	return faultRate(r.scale, unbacked(r.user, r.total)) * r.fault
+}
 
 // Step applies one job's demand revision (oldMB -> newMB) with exactly
 // Update's accumulation: total += new - old, clamped at zero. Replayed
@@ -368,29 +363,20 @@ func (r *Replay) Stall() float64 { return r.rate * r.fault }
 // float addition is non-associative.
 func (r *Replay) Step(oldMB, newMB float64) {
 	r.total += newMB - oldMB
-	// The pressure terms stay zero below user memory; eval also clamps.
-	if r.total < 0 || r.total > r.user || r.pressured {
-		r.eval()
-	}
+	r.eval()
 }
 
 // UserMB reports the user memory the cursor's total is compared against.
 func (r *Replay) UserMB() float64 { return r.user }
 
-// SetUnpressured moves an unpressured cursor to total, the end of a chain
-// of Steps the caller accumulated itself (total += new - old, in order)
-// whose every intermediate total was at least zero and whose final total
-// is at most UserMB: along such a chain no Step clamps, and a total that
-// passes above UserMB and comes back re-evaluates the pressure terms to
-// zero again, so only the total moves. The cursor is left as the last Step
-// would have left it, except that such an excursion would have read the
-// fault service into the cached fault field, which nothing reads while the
-// cursor is unpressured.
+// SetUnpressured moves the cursor to total, the end of a chain of Steps the
+// caller accumulated itself (total += new - old, in order) whose every
+// intermediate total was at least zero and whose final total is at most
+// UserMB: along such a chain no Step clamps, and the cursor ends
+// unpressured wherever the chain went in between.
 func (r *Replay) SetUnpressured(total float64) {
 	r.total = total
-	if r.total < 0 || r.total > r.user || r.pressured {
-		r.eval()
-	}
+	r.eval()
 }
 
 // SetRemoteBacking makes page faults hit remote idle memory over the
@@ -437,20 +423,4 @@ func (m *Manager) Restore(s Snapshot) {
 	m.total = s.total
 	m.remoteService = s.remoteService
 	m.version++
-}
-
-// SoloStallPerCPUSecond reports the stall a single job of the given demand
-// would suffer if it were alone on this node — used when a reserved
-// workstation runs one oversized job against its own swap (Section 2.3).
-func (m *Manager) SoloStallPerCPUSecond(demandMB float64) float64 {
-	user := m.UserMB()
-	if demandMB <= user || demandMB <= 0 {
-		return 0
-	}
-	u := 1 - user/demandMB
-	const uCap = 0.97
-	if u > uCap {
-		u = uCap
-	}
-	return m.cfg.FaultScale * u / (1 - u) * m.faultService().Seconds()
 }

@@ -112,9 +112,6 @@ func TestPressureAndIdleClamp(t *testing.T) {
 	if got := m.Overcommit(); math.Abs(got-1.5) > 1e-9 {
 		t.Errorf("overcommit = %v, want 1.5", got)
 	}
-	if got, want := m.UnbackedFraction(), 1-100.0/150.0; math.Abs(got-want) > 1e-9 {
-		t.Errorf("unbacked = %v, want %v", got, want)
-	}
 }
 
 func TestFaultRateShape(t *testing.T) {
@@ -160,29 +157,6 @@ func TestStallUsesFaultService(t *testing.T) {
 	// u = 0.5 -> rate = 10*0.5/0.5 = 10 faults/cpu-sec -> 0.2 s stall.
 	if got := m.StallPerCPUSecond(); math.Abs(got-0.2) > 1e-9 {
 		t.Errorf("stall = %v, want 0.2", got)
-	}
-}
-
-func TestSoloStall(t *testing.T) {
-	m := newMgr(t, 100)
-	if m.SoloStallPerCPUSecond(50) != 0 {
-		t.Error("fitting job should not stall solo")
-	}
-	if m.SoloStallPerCPUSecond(100) != 0 {
-		t.Error("exactly fitting job should not stall solo")
-	}
-	if m.SoloStallPerCPUSecond(200) <= 0 {
-		t.Error("oversized job should stall solo")
-	}
-	if m.SoloStallPerCPUSecond(0) != 0 {
-		t.Error("zero-demand job should not stall")
-	}
-	// Solo stall for demand d equals shared stall when total = d.
-	if err := m.Register(1, 200); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := m.SoloStallPerCPUSecond(200), m.StallPerCPUSecond(); math.Abs(got-want) > 1e-12 {
-		t.Errorf("solo %v != shared %v", got, want)
 	}
 }
 
@@ -257,11 +231,6 @@ func TestRemoteBacking(t *testing.T) {
 	if got, want := remote/disk, 0.2; math.Abs(got-want) > 1e-9 {
 		t.Errorf("stall ratio = %v, want %v (2ms vs 10ms service)", got, want)
 	}
-	// Solo stall obeys the same override.
-	soloDisk := disk
-	if got := m.SoloStallPerCPUSecond(200); math.Abs(got-soloDisk*0.2) > 1e-9 {
-		t.Errorf("solo stall %v not scaled by remote service", got)
-	}
 	// Clearing restores disk paging; negative input also clears.
 	m.SetRemoteBacking(-time.Second)
 	if m.RemoteBacked() || m.StallPerCPUSecond() != disk {
@@ -289,8 +258,8 @@ var versionMutators = []struct {
 var versionNeutral = []string{
 	"Config", "DemandMB", "FaultRate", "FaultRateAt", "IdleAtMB", "IdleMB",
 	"Jobs", "Overcommit", "Pressured", "PressuredAt", "RemoteBacked",
-	"Replay", "Snapshot", "SoloStallPerCPUSecond", "StallPerCPUSecond",
-	"StallPerCPUSecondAt", "UnbackedFraction", "UserMB", "Version",
+	"Replay", "Snapshot", "StallPerCPUSecond", "StallPerCPUSecondAt",
+	"UserMB", "Version",
 }
 
 // TestVersionMovesOnEveryMutator drives each mutator once, after

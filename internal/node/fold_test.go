@@ -203,7 +203,8 @@ func TestFoldMatchesDense(t *testing.T) {
 
 // TestFoldRegimes drives Fold across pressure crossings in both
 // directions, through a ramp whose I/O stall moves with the demand total
-// while unpressured, and over partial residency in the first quantum.
+// while unpressured, over partial residency in the first quantum, and into
+// and out of ramp and pressured runs.
 // Every case must leave the state k dense ticks leave, and must actually
 // exercise its regime.
 func TestFoldRegimes(t *testing.T) {
@@ -231,6 +232,8 @@ func TestFoldRegimes(t *testing.T) {
 		check func(t *testing.T, n *Node)
 		// stretch, when set, picks k from a probe twin instead.
 		stretch func(t *testing.T, probe *Node) int64
+		// complete lets the stretch's last tick complete a job.
+		complete bool
 	}{
 		{
 			name: "unpressured to pressured",
@@ -256,9 +259,11 @@ func TestFoldRegimes(t *testing.T) {
 			},
 			warm: 1, now: 2 * q, k: 3000,
 			check: func(t *testing.T, n *Node) {
-				if n.Pressured() || n.IOStall() == 0 {
-					t.Fatalf("stretch should stay unpressured yet stall on the cache: pressured=%v ioStall=%v",
-						n.Pressured(), n.IOStall())
+				// Unpressured, so all paging the jobs carry is cache-miss
+				// disk time.
+				if n.Pressured() || !paged(n) {
+					t.Fatalf("stretch should stay unpressured yet stall on the cache: pressured=%v paged=%v",
+						n.Pressured(), paged(n))
 				}
 			},
 		},
@@ -372,6 +377,97 @@ func TestFoldRegimes(t *testing.T) {
 			},
 		},
 		{
+			// The two ramps cancel, holding the total at user memory up to
+			// rounding, so each tick's replayed total ends a few ulps above
+			// or below it: a pressured run's ticks fall below user memory
+			// and rise back above it, reading a moved stall each time.
+			name: "pressured run falling below user memory and back",
+			jobs: []admit{
+				{cpu: time.Minute, phases: flat(40)},
+				{cpu: time.Minute, phases: ramp(10.1, 40.8, 0.5)},
+				{cpu: time.Minute, phases: ramp(49.9, 19.2, 0.5)},
+			},
+			warm: 1, now: 2 * q, k: 3000, flips: 2,
+		},
+		{
+			// Two ramps back to back: the pressured run stops before the
+			// tick that leaves the first, which is made in full, and the
+			// next run steps the second.
+			name: "pressured run ending at a cursor exit",
+			jobs: []admit{
+				{cpu: time.Minute, phases: flat(60)},
+				{cpu: time.Minute, phases: []job.Phase{
+					{EndFrac: 0.03, StartMB: 50, EndMB: 70},
+					{EndFrac: 0.06, StartMB: 70, EndMB: 60},
+					{EndFrac: 1, StartMB: 60, EndMB: 60},
+				}},
+			},
+			warm: 1, now: 2 * q, k: 5000,
+			check: pressuredPast(1, 0.06),
+		},
+		{
+			// A short job completes while the ramp is still pressured: the
+			// run stops on the tick before, and the completing tick is full.
+			name: "pressured run stopping before a completion",
+			jobs: []admit{
+				{cpu: time.Minute, phases: flat(60)},
+				{cpu: time.Minute, phases: ramp(50, 80, 0.5)},
+				{cpu: 3 * time.Second, phases: flat(10)},
+			},
+			warm: 1, now: 2 * q, complete: true,
+			stretch: func(t *testing.T, probe *Node) int64 {
+				k, _ := tickToDone(t, probe, q, 2*q, 1<<20)
+				return k
+			},
+			check: func(t *testing.T, n *Node) {
+				if n.NumJobs() != 2 || !n.Pressured() {
+					t.Fatalf("stretch should end pressured on the short job's completion: %d resident, pressured=%v",
+						n.NumJobs(), n.Pressured())
+				}
+			},
+		},
+		{
+			// Resident since the warm-up ticks, so the fold rebuilds with
+			// full residency: the first tick is stale and starts a
+			// pressured run.
+			name: "pressured run entered on a rebuild's stale first tick",
+			jobs: []admit{
+				{cpu: time.Minute, phases: ramp(55, 40, 0.5)},
+				{cpu: time.Minute, phases: ramp(50, 80, 0.5)},
+			},
+			warm: 3, now: 4 * q, k: 400,
+			check: pressuredPast(1, 0),
+		},
+		{
+			// One I/O-active resident: every job's charge differs with its
+			// I/O rate, so the pressured ramp stays on full ticks.
+			name: "pressured ramp with an I/O-active resident",
+			jobs: []admit{
+				{cpu: time.Minute, phases: flat(60), ioRate: 2},
+				{cpu: time.Minute, phases: ramp(50, 80, 0.5)},
+			},
+			warm: 1, now: 2 * q, k: 2000,
+			check: func(t *testing.T, n *Node) {
+				if io, other := n.JobAt(0).Breakdown().Page, n.JobAt(1).Breakdown().Page; !n.Pressured() || io <= other {
+					t.Fatalf("the I/O-active job should page more on the pressured ramp: pressured=%v pages %v vs %v",
+						n.Pressured(), io, other)
+				}
+			},
+		},
+		{
+			// A job admitted inside the stretch's first quantum is charged
+			// for part of it, so the first tick is made in full; the run
+			// starts on the next.
+			name: "pressured ramp with a partial first quantum",
+			jobs: []admit{
+				{cpu: time.Minute, phases: flat(60)},
+				{cpu: time.Minute, phases: ramp(50, 80, 0.5)},
+				{cpu: time.Minute, phases: flat(10), at: 2*q + q/3},
+			},
+			warm: 2, now: 3 * q, k: 2000,
+			check: pressuredPast(1, 0),
+		},
+		{
 			// A one-quantum stretch leaves a migrant that landed at its
 			// instant untouched.
 			name: "migrant landing at the only tick",
@@ -412,14 +508,22 @@ func TestFoldRegimes(t *testing.T) {
 			if c.stretch != nil {
 				c.k = c.stretch(t, mk())
 			}
-			if floor := dense.CompletionFloor(q, c.k); floor != c.k {
-				t.Fatalf("completion floor %d below the case's stretch %d", floor, c.k)
-			}
-			if flips := tickDense(t, dense, q, c.now, c.k); flips < c.flips {
-				t.Fatalf("dense stretch passed %d pressure transitions, want at least %d", flips, c.flips)
-			}
-			if done := mustFold(t, folded, q, c.now, c.k); len(done) > 0 {
-				t.Fatalf("fold completed %d jobs", len(done))
+			if c.complete {
+				ticks, done := tickToDone(t, dense, q, c.now, c.k)
+				if ticks != c.k || len(done) == 0 {
+					t.Fatalf("dense stretch made %d of %d ticks and completed %d jobs", ticks, c.k, len(done))
+				}
+				requireSameDone(t, done, mustFold(t, folded, q, c.now, c.k), "after the stretch")
+			} else {
+				if floor := dense.CompletionFloor(q, c.k); floor != c.k {
+					t.Fatalf("completion floor %d below the case's stretch %d", floor, c.k)
+				}
+				if flips := tickDense(t, dense, q, c.now, c.k); flips < c.flips {
+					t.Fatalf("dense stretch passed %d pressure transitions, want at least %d", flips, c.flips)
+				}
+				if done := mustFold(t, folded, q, c.now, c.k); len(done) > 0 {
+					t.Fatalf("fold completed %d jobs", len(done))
+				}
 			}
 			requireSameState(t, dense, folded, "after the stretch")
 			if c.check != nil {
@@ -451,61 +555,79 @@ func pressuredPast(idx int, frac float64) func(*testing.T, *Node) {
 }
 
 // TestFoldAfterRewind restores a node, taken mid-ramp, after it has moved
-// on into the flat phase, and requires the stretch that follows to match a
+// on into the next phase, and requires the stretch that follows to match a
 // twin that never moved on, both folded and ticked densely. Restore keeps
-// the job's flat-phase cursor, since the job stays at its index, so only
-// the cursor's From bound tells the node the rewound service left it.
+// the job's next-phase cursor, since the job stays at its index, so only
+// the cursor's From bound tells the node the rewound service left it. In
+// the unpressured case the next phase is flat; in the pressured case it
+// ramps down, so the fold ends unsteady and the rebuilt fold would start a
+// pressured run on the stale cursor.
 func TestFoldAfterRewind(t *testing.T) {
 	const q = 10 * time.Millisecond
-	mk := func() *Node {
-		n := watched(newNode(t, 200, 4))
-		for id, ph := range [][]job.Phase{
-			{{EndFrac: 1, StartMB: 40, EndMB: 40}},
-			{{EndFrac: 0.1, StartMB: 30, EndMB: 90}, {EndFrac: 1, StartMB: 90, EndMB: 90}},
-		} {
-			j, err := job.New(id, "rewind", 20*time.Second, ph, 0)
-			if err != nil {
-				t.Fatal(err)
+	for _, c := range []struct {
+		name      string
+		capMB     float64
+		next      float64 // the demand the next phase ends at
+		k         int64
+		pressured bool
+	}{
+		{"unpressured", 200, 90, 1000, false},
+		{"pressured", 80, 60, 3000, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			mk := func() *Node {
+				n := watched(newNode(t, c.capMB, 4))
+				for id, ph := range [][]job.Phase{
+					{{EndFrac: 1, StartMB: 40, EndMB: 40}},
+					{{EndFrac: 0.1, StartMB: 30, EndMB: 90}, {EndFrac: 1, StartMB: 90, EndMB: c.next}},
+				} {
+					j, err := job.New(id, "rewind", 20*time.Second, ph, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := n.Admit(j, 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return n
 			}
-			if err := n.Admit(j, 0); err != nil {
-				t.Fatal(err)
+			const mid = 100
+			k := c.k
+			twin, rewound := mk(), mk()
+			tickDense(t, twin, q, q, mid)
+			tickDense(t, rewound, q, q, mid)
+			ramp := rewound.JobAt(1)
+			if p := ramp.Progress(); p <= 0 || p >= 0.1 || rewound.Pressured() != c.pressured {
+				t.Fatalf("snapshot should be mid-ramp with pressured=%v: progress %v, pressured=%v",
+					c.pressured, p, rewound.Pressured())
 			}
-		}
-		return n
-	}
-	const mid, k = 100, 1000
-	twin, rewound := mk(), mk()
-	tickDense(t, twin, q, q, mid)
-	tickDense(t, rewound, q, q, mid)
-	ramp := rewound.JobAt(1)
-	if p := ramp.Progress(); p <= 0 || p >= 0.1 {
-		t.Fatalf("snapshot should be mid-ramp, progress %v", p)
-	}
-	if floor := twin.CompletionFloor(q, k); floor != k {
-		t.Fatalf("completion floor %d below the stretch %d", floor, k)
-	}
-	snap := rewound.Snapshot()
-	jobs := []job.Snapshot{rewound.JobAt(0).Snapshot(), ramp.Snapshot()}
-	restore := func() {
-		rewound.Restore(snap)
-		for i, js := range jobs {
-			rewound.JobAt(i).Restore(js)
-		}
-	}
-	now := time.Duration(mid+1) * q
-	mustFold(t, rewound, q, now, k)
-	if p := ramp.Progress(); p <= 0.1 {
-		t.Fatalf("the node should have moved on into the flat phase, progress %v", p)
-	}
+			if floor := twin.CompletionFloor(q, k); floor != k {
+				t.Fatalf("completion floor %d below the stretch %d", floor, k)
+			}
+			snap := rewound.Snapshot()
+			jobs := []job.Snapshot{rewound.JobAt(0).Snapshot(), ramp.Snapshot()}
+			restore := func() {
+				rewound.Restore(snap)
+				for i, js := range jobs {
+					rewound.JobAt(i).Restore(js)
+				}
+			}
+			now := time.Duration(mid+1) * q
+			mustFold(t, rewound, q, now, k)
+			if p := ramp.Progress(); p <= 0.1 {
+				t.Fatalf("the node should have moved on into the next phase, progress %v", p)
+			}
 
-	restore()
-	tickDense(t, twin, q, now, k)
-	mustFold(t, rewound, q, now, k)
-	requireSameState(t, twin, rewound, "fold after the rewind")
+			restore()
+			tickDense(t, twin, q, now, k)
+			mustFold(t, rewound, q, now, k)
+			requireSameState(t, twin, rewound, "fold after the rewind")
 
-	restore()
-	tickDense(t, rewound, q, now, k)
-	requireSameState(t, twin, rewound, "dense ticks after the rewind")
+			restore()
+			tickDense(t, rewound, q, now, k)
+			requireSameState(t, twin, rewound, "dense ticks after the rewind")
+		})
+	}
 }
 
 // TestFoldAcrossQuantumChange folds a stretch, then one at twice the
@@ -613,7 +735,8 @@ func TestCompletionFloorEarlyExitAtBoundary(t *testing.T) {
 // of k one-quantum Folds that may complete jobs anywhere, as the cluster
 // makes them (mode 2). testdata/fuzz holds seeds for the regimes: flat,
 // pressured, pressure crossings either way, an I/O-active ramp, partial
-// residency in the first quantum, and completions.
+// residency in the first quantum, ramp and pressured runs, and
+// completions.
 func FuzzFoldMatchesTick(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := draw(data)

@@ -147,8 +147,6 @@ type Node struct {
 	// fill up while the memory image is being transferred.
 	incoming map[int]float64
 
-	ioStall time.Duration // cumulative buffer-cache-miss stall
-
 	// fold is Fold's per-job state and foldEnd where the last Fold left it;
 	// foldIDs is the demand-commit ID list. A Fold that starts where the
 	// last one ended resumes from them, and any status mutation voids them
@@ -499,9 +497,6 @@ func (n *Node) ReservedJobCount() int {
 	return c
 }
 
-// IOStall reports cumulative disk stall from buffer-cache misses.
-func (n *Node) IOStall() time.Duration { return n.ioStall }
-
 // IOActiveJobs reports resident jobs with nonzero I/O rates — the I/O
 // load status the load index publishes. The count is maintained
 // incrementally (job I/O rates are fixed before admission).
@@ -688,7 +683,7 @@ func (n *Node) MostMemoryIntensiveJob() *job.Job {
 // Snapshot captures the workstation's complete mutable state for cluster
 // forking: flags, resident jobs (the pointers; job state is snapshotted
 // separately by the cluster), per-job accounting baselines, demand caches,
-// migration holds, the memory manager, and cumulative counters.
+// migration holds and the memory manager.
 type Snapshot struct {
 	mem          memory.Snapshot
 	jobs         []*job.Job
@@ -702,7 +697,6 @@ type Snapshot struct {
 	ioActive     int
 	lastPressure bool
 	incoming     map[int]float64
-	ioStall      time.Duration
 }
 
 // Snapshot captures the node's mutable state.
@@ -718,7 +712,6 @@ func (n *Node) Snapshot() Snapshot {
 		demand:       append([]float64(nil), n.demand...),
 		ioActive:     n.ioActive,
 		lastPressure: n.lastPressured,
-		ioStall:      n.ioStall,
 	}
 	if len(n.reservedJobs) > 0 {
 		s.reservedJobs = make(map[int]bool, len(n.reservedJobs))
@@ -762,7 +755,6 @@ func (n *Node) Restore(s Snapshot) {
 	n.removed = s.removed
 	n.ioActive = s.ioActive
 	n.lastPressured = s.lastPressure
-	n.ioStall = s.ioStall
 	clear(n.reservedJobs)
 	for id := range s.reservedJobs {
 		n.reservedJobs[id] = true
@@ -825,9 +817,9 @@ func (q *quantum) setPressure(stall, miss float64) (moved bool) {
 }
 
 // charge is one job's accounting for one quantum: CPU progress, paging
-// stall (which includes the cache-miss disk time io), and time spent
+// stall (which includes the buffer-cache-miss disk time), and time spent
 // runnable but not executing.
-type charge struct{ cpu, page, queue, io time.Duration }
+type charge struct{ cpu, page, queue time.Duration }
 
 // charge computes a job's quantum, given its ioPerMiss, resid of residency
 // within the quantum and rem of outstanding CPU demand. The fast paths skip
@@ -861,9 +853,6 @@ func (q *quantum) charge(ioPer float64, resid, rem time.Duration) charge {
 		c.page = time.Duration(float64(c.cpu) * ps)
 	}
 	c.queue = max(resid-computeWall-c.page, 0)
-	if ioStall != 0 {
-		c.io = time.Duration(float64(c.cpu) * ioStall)
-	}
 	return c
 }
 
@@ -872,7 +861,6 @@ func (c *charge) add(d charge, k int64) {
 	c.cpu += d.cpu * time.Duration(k)
 	c.page += d.page * time.Duration(k)
 	c.queue += d.queue * time.Duration(k)
-	c.io += d.io * time.Duration(k)
 }
 
 // CompletionFloor reports a stretch length k ≤ kMax during which no
@@ -1023,7 +1011,6 @@ func (n *Node) Fold(dt, now time.Duration, k int64) ([]*job.Job, error) {
 		f.done += f.charge.cpu * time.Duration(seg)
 		n.covered[i] = last
 		n.demand[i] = f.demand
-		n.ioStall += f.sum.io
 		if f.done < f.j.CPUDemand {
 			if err := f.j.AccountFold(f.sum.cpu, f.sum.page, f.sum.queue); err != nil {
 				return nil, err
@@ -1105,7 +1092,7 @@ func (n *Node) compact() {
 // whose demand moves steps the cursor. While the stall and cache miss stand
 // still every tick charges each job the same amounts, so the integer sums
 // are multiplies, and the ticks before the first job leaves its phase
-// cursor or completes fold as one run. There are three regimes:
+// cursor or completes fold as one run. There are four regimes:
 //
 //   - In a steady run every job sits inside a flat cursor, so the total
 //     stands still too and the run costs one pass over the jobs.
@@ -1114,6 +1101,11 @@ func (n *Node) compact() {
 //     while no step takes the total below zero and every tick ends at or
 //     below user memory; each tick steps only the ramping jobs' demands
 //     (rampRun).
+//   - In a pressured run some job ramps and the total starts above user
+//     memory, but no resident is I/O-active and none is on a partial first
+//     quantum, so every job takes the same charge; each tick adds it once,
+//     steps only the ramping jobs' demands through the replay, reads the
+//     stall once and recharges only if the quantum moved (pressuredRun).
 //   - A full tick is one pass over the jobs; on a tick whose quantum moved,
 //     each job closes its old charge and takes the new one in that same
 //     pass. It is the only per-tick fallback and covers every regime, the
@@ -1170,6 +1162,13 @@ func (e *foldEnd) advance(n *Node, fold []foldJob, k int64, partial bool) (seg, 
 				if t += run; t == k {
 					break
 				}
+			}
+		} else if !partial && !steady && !io && rep.Pressured() {
+			// The run closes every charge and leaves them current.
+			r := e.pressuredRun(n, fold, q, rep, k-t, seg, stale)
+			seg, stale = 0, false
+			if t += r; t == k {
+				break
 			}
 		}
 		// Then one tick in full. On a stale tick each job first closes its
@@ -1239,8 +1238,9 @@ func (e *foldEnd) advance(n *Node, fold []foldJob, k int64, partial bool) (seg, 
 	return seg, finished
 }
 
-// rampJob is one ramping job in a ramp run: its fold entry, its CPU
-// service at the last tick made, and its demand a tick on.
+// rampJob is one ramping job in a ramp or pressured run: its fold entry,
+// its CPU service (at the last tick made in a ramp run, at entry in a
+// pressured run) and, in a ramp run, its demand a tick on.
 type rampJob struct {
 	f    *foldJob
 	svc  time.Duration
@@ -1283,5 +1283,67 @@ ticks:
 		}
 	}
 	rep.SetUnpressured(total)
+	return r
+}
+
+// pressuredRun makes up to run ticks of a pressured run from the state
+// advance holds (charges made for seg ticks, stale if they no longer match
+// q) and reports how many it made. With no I/O-active resident and every
+// job resident for the whole quantum, each job's charge is q.charge(0, dt,
+// rem), and the cap at its outstanding demand rem cannot bind while its
+// service stays short of its demand, so one charge serves every job. Each
+// tick adds it to one shared sum and service, steps the ramping jobs'
+// demands through the replay in fold order, and then makes the full
+// tick's pressure test: only a moved total reads the stall, and only a
+// moved quantum recomputes the charge. The run stops before the first tick
+// on which some job's service would leave its cursor or reach its demand,
+// which is made in full; a job whose cursor does not cover its service
+// (after a tick that skipped it, say) leaves the run empty. On entry every
+// job closes its charge after seg ticks; on exit each adds the shared sum
+// and service (integer sums are associative) and takes the current charge,
+// so the caller carries on with current charges and seg at zero.
+func (e *foldEnd) pressuredRun(n *Node, fold []foldJob, q *quantum, rep *memory.Replay, run, seg int64, stale bool) int64 {
+	c := fold[0].charge
+	if stale {
+		c = q.charge(0, e.dt, math.MaxInt64)
+	}
+	room, ramps := time.Duration(math.MaxInt64), n.ramps[:0]
+	for i := range fold {
+		f := &fold[i]
+		f.sum.add(f.charge, seg)
+		f.done += f.charge.cpu * time.Duration(seg)
+		room = min(room, min(f.cursor.Until, f.j.CPUDemand-1)-f.done)
+		if !f.cursor.Covers(f.done) {
+			room = -1
+		}
+		if !f.cursor.Flat() {
+			ramps = append(ramps, rampJob{f: f, svc: f.done})
+		}
+	}
+	n.ramps = ramps
+	var sum charge
+	svc, r := time.Duration(0), int64(0)
+	for ; r < run && svc+c.cpu <= room; r++ {
+		svc += c.cpu
+		sum.add(c, 1)
+		total, pressured := rep.Total(), rep.Pressured()
+		for x := range ramps {
+			p := &ramps[x]
+			f := p.f
+			if d := f.cursor.DemandAt(p.svc + svc); d != f.demand {
+				rep.Step(f.demand, d)
+				f.demand = d
+			}
+		}
+		if rep.Total() != total && (pressured || rep.Pressured()) && q.setPressure(rep.Stall(), 0) {
+			c = q.charge(0, e.dt, math.MaxInt64)
+		}
+	}
+	for i := range fold {
+		f := &fold[i]
+		f.sum.add(sum, 1)
+		f.done += svc
+		f.charge = c
+	}
 	return r
 }

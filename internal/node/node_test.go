@@ -406,8 +406,10 @@ func TestMigrationConservationProperty(t *testing.T) {
 }
 
 func TestIOStallUnderCachePressure(t *testing.T) {
-	// An I/O-active job on a pressured node stalls on the disk; the same
-	// job with ample idle memory does not.
+	// An I/O-active job on a node whose idle memory cannot hold its cache
+	// need stalls on the disk; the same job with ample idle memory does
+	// not. The node stays unpressured either way, so the job's paging time
+	// is all cache-miss disk time.
 	run := func(fillMB float64) (time.Duration, time.Duration) {
 		n := newNode(t, 100, 4)
 		ioJob := newJob(t, 1, 10*time.Second, 20)
@@ -428,12 +430,15 @@ func TestIOStallUnderCachePressure(t *testing.T) {
 			if _, err := n.Fold(dt, now, 1); err != nil {
 				t.Fatal(err)
 			}
+			if n.Pressured() {
+				t.Fatalf("fill %v MB pressured the node", fillMB)
+			}
 		}
 		w, err := ioJob.WallTime()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return w, n.IOStall()
+		return w, ioJob.Breakdown().Page
 	}
 	freeWall, freeStall := run(0) // 80 MB idle >> 16 MB cache need
 	if freeStall != 0 {

@@ -44,7 +44,6 @@ func (n *Node) tick(dt time.Duration, now time.Duration) ([]*job.Job, error) {
 		if err != nil {
 			return nil, err
 		}
-		n.ioStall += c.io
 		if finished {
 			done = append(done, j)
 			if err := n.mem.Remove(j.ID); err != nil {

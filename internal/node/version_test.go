@@ -75,7 +75,7 @@ var statusMutators = []versionCase{
 var statusNeutral = []string{
 	"CacheAvailability", "CompletionFloor", "Config", "DemandAt", "Down",
 	"Draining", "ExpectedCount", "HasSlot", "ID", "IOActiveJobs",
-	"IOStall", "IdleMB", "JobAt", "Jobs", "LoadStatus", "Memory",
+	"IdleMB", "JobAt", "Jobs", "LoadStatus", "Memory",
 	"MostMemoryIntensiveJob", "NumJobs", "Pressured", "Removed", "Reserved",
 	"ReservedJobCount", "SetPressureWatcher", "SetResidencyWatcher",
 	"SetTracer", "Slots", "Snapshot", "SpeedFactor", "StatusVersion",

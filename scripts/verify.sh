@@ -7,7 +7,8 @@
 # the seeded fault streams), the steady-state zero-allocation guard runs
 # without the race detector, the quantum fold is fuzzed against the
 # reference tick for 20 s and its resume across status mutations for 10 s,
-# the phase cursor against MemoryDemandAtMB for 10 s, the fault injector's
+# the phase cursor against MemoryDemandAtMB and the stall replay against
+# the memory manager for 10 s each, the fault injector's
 # drop runs against one draw per period, its streams against math/rand and
 # its plan validation for 10 s each, the record and JSONL readers for 10 s
 # each, the benchmark module's tests (bench/) check its result goldens, a
@@ -50,6 +51,11 @@ go test ./internal/node -run '^$' -fuzz FuzzFoldResume -fuzztime 10s
 # DemandAt bit-identical to MemoryDemandAtMB on drawn profiles.
 echo "== go test ./internal/job -fuzz FuzzSegmentAt (10 s)"
 go test ./internal/job -run '^$' -fuzz FuzzSegmentAt -fuzztime 10s
+# The stall replay the fold reads: Step chains through clamps at zero and
+# crossings of user memory, bit for bit the manager's Update and
+# StallPerCPUSecond.
+echo "== go test ./internal/memory -fuzz FuzzReplayStall (10 s)"
+go test ./internal/memory -run '^$' -fuzz FuzzReplayStall -fuzztime 10s
 # The fault injector's drop runs: the same answers as one Float64 per
 # node per period, across partitions, retirements, joins and
 # snapshot/restore.
