@@ -244,6 +244,57 @@ func BenchmarkForkGrid(b *testing.B) {
 	}
 }
 
+// BenchmarkFaultInjector measures the fault injector for the chaos
+// workload's plan (bench/workloads.go) on its 128 workstations in 8
+// failure domains. new builds and starts an injector on a fresh engine, as
+// every chaos pass does; snapshot and restore copy a started injector out
+// after 100 control periods and back, as a forked fault run does.
+func BenchmarkFaultInjector(b *testing.B) {
+	const nodes = 128
+	plan := faults.Plan{
+		Seed:          42,
+		Crash:         faults.Requeue,
+		MTBF:          2 * time.Hour,
+		DropRate:      0.05,
+		AbortRate:     0.1,
+		Domains:       8,
+		DomainMTBF:    3 * time.Hour,
+		PartitionMTBF: 2 * time.Hour,
+	}
+	start := func(b *testing.B) *faults.Injector {
+		in, err := faults.NewInjector(sim.NewEngine(), plan, nodes, faults.Hooks{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		in.Start()
+		return in
+	}
+	b.Run("new", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			start(b)
+		}
+	})
+	in := start(b)
+	for range 100 {
+		in.Drops()
+		in.AbortMigration()
+	}
+	snap := in.Snapshot()
+	b.Run("snapshot", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			in.Snapshot()
+		}
+	})
+	b.Run("restore", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			in.Restore(snap)
+		}
+	})
+}
+
 // Steady-state windows: the cluster is armed and warmed up once, then every
 // iteration rewinds to the warmup snapshot and re-simulates one second of
 // quantum, control and sampling activity. Restore reuses live backing

@@ -146,31 +146,25 @@ func (in *Injector) thaw(id int) {
 const maxDropRun = 64
 
 // drawRun draws the Float64s of one run: up to and including the first
-// below rate, at most maxDropRun of them, and ending early after any
-// Float64 that took more than one value from src. It reports the run's
-// length and whether its last period drops.
+// below rate, and at most maxDropRun of them. It reports the run's length
+// and whether its last period drops.
 func drawRun(src *stream, rate float64) (n uint8, drop bool) {
 	for n < maxDropRun {
 		n++
-		f, values := nextFloat64(src)
-		if f < rate {
+		if nextFloat64(src) < rate {
 			return n, true
-		}
-		if values > 1 {
-			break
 		}
 	}
 	return n, false
 }
 
-// nextFloat64 returns the value rand.(*Rand).Float64 would return on src,
-// and how many values it took from src: normally one, more when an Int63
-// so close to 1<<63 that the division rounds to 1.0 forces a redraw.
-func nextFloat64(src *stream) (f float64, values int) {
+// nextFloat64 returns the value rand.(*Rand).Float64 would return on src:
+// an Int63 so close to 1<<63 that the division rounds to 1.0 is redrawn,
+// inside the same period.
+func nextFloat64(src *stream) float64 {
 	for {
-		values++
-		if f = float64(src.Int63()) / (1 << 63); f != 1 {
-			return f, values
+		if f := float64(src.Int63()) / (1 << 63); f != 1 {
+			return f
 		}
 	}
 }

@@ -48,17 +48,16 @@ func TestNextFloat64MatchesRandFloat64(t *testing.T) {
 	} {
 		want := rand.New(&scriptSource{vals: vals}).Float64()
 		src := scripted(vals)
-		f, values := nextFloat64(src)
-		if f != want || values != len(vals) || taken(src) != len(vals) {
-			t.Errorf("%v: got %v after %d values, want %v after %d", vals, f, values, want, len(vals))
+		if f := nextFloat64(src); f != want || taken(src) != len(vals) {
+			t.Errorf("%v: got %v after %d values, want %v after %d", vals, f, taken(src), want, len(vals))
 		}
 	}
 }
 
-// TestDrawRunEndsAtRedraw pins drawRun's rule that a Float64 that took
-// more than one value ends its run, so every answer but a run's last took
-// exactly one value.
-func TestDrawRunEndsAtRedraw(t *testing.T) {
+// TestDrawRunConsumesRedraw pins that a Float64 that redrew on 1.0 takes
+// its extra values inside its own period and the run goes on past it, up
+// to the first drop or the maxDropRun cap.
+func TestDrawRunConsumesRedraw(t *testing.T) {
 	const keep, drop = 1 << 62, 0 // Float64 0.5 keeps at rate 0.1, 0 drops
 	cases := []struct {
 		name   string
@@ -68,8 +67,9 @@ func TestDrawRunEndsAtRedraw(t *testing.T) {
 		values int
 	}{
 		{"drop after keeps", []int64{keep, keep, drop, keep}, 3, true, 3},
-		{"redraw ends a keeping run", []int64{keep, roundsToOne, keep, keep}, 2, false, 3},
+		{"redraw inside a keeping run", []int64{keep, roundsToOne, keep, keep, drop, keep}, 4, true, 5},
 		{"redraw then drop", []int64{roundsToOne, drop, keep}, 1, true, 2},
+		{"redraw twice in one period", []int64{roundsToOne, roundsToOne, keep, drop}, 2, true, 4},
 	}
 	for _, tc := range cases {
 		src := scripted(tc.vals)
@@ -79,14 +79,16 @@ func TestDrawRunEndsAtRedraw(t *testing.T) {
 				tc.name, n, dropped, taken(src), tc.n, tc.drop, tc.values)
 		}
 	}
-	// A rate no Float64 falls below stops at the cap.
+	// A rate no Float64 falls below stops at the cap, counting periods,
+	// not values: the two redraws add values but no period.
 	vals := make([]int64, 2*maxDropRun)
 	for i := range vals {
 		vals[i] = keep
 	}
+	vals[0], vals[maxDropRun/2] = roundsToOne, roundsToOne
 	src := scripted(vals)
-	if n, dropped := drawRun(src, 1e-300); n != maxDropRun || dropped || taken(src) != maxDropRun {
-		t.Errorf("capped run: %d (drop %v) after %d values, want %d", n, dropped, taken(src), maxDropRun)
+	if n, dropped := drawRun(src, 1e-300); n != maxDropRun || dropped || taken(src) != maxDropRun+2 {
+		t.Errorf("capped run: %d (drop %v) after %d values, want %d after %d", n, dropped, taken(src), maxDropRun, maxDropRun+2)
 	}
 }
 

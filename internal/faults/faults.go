@@ -254,17 +254,18 @@ type Injector struct {
 
 	// Every stream's state is a value (see stream.go): a snapshot copies
 	// it and a restore copies it back. The streams a *rand.Rand draws from
-	// are allocated one by one, so growing the slices that list them never
-	// leaves a wrapper pointing at a stale copy.
+	// are sparseStreams, which build a register only past their 273rd
+	// value; they are allocated one by one, so growing the slices that
+	// list them never leaves a wrapper pointing at a stale copy.
 	crashRNG []*rand.Rand // per-node crash/repair timing
-	crashSrc []*stream
+	crashSrc []*sparseStream
 	migRNG   *rand.Rand // migration-abort draws, in transfer-start order
-	migSrc   *stream
+	migSrc   *sparseStream
 
 	domainRNG []*rand.Rand // per-domain crash-wave timing
-	domainSrc []*stream
+	domainSrc []*sparseStream
 	partRNG   []*rand.Rand // per-domain partition timing
-	partSrc   []*stream
+	partSrc   []*sparseStream
 
 	// dropSrc holds each node's exchange-drop stream in place; drawRun
 	// reads it without a wrapper, so AddNode may move it.
@@ -308,11 +309,11 @@ func streamSeed(seed int64, salt, id int) int64 {
 	return int64(x)
 }
 
-// newRand returns the stream of (seed, salt, id) and a *rand.Rand over it,
-// whose draws are bit-identical to wrapping rand.NewSource of the same
-// seed.
-func newRand(seed int64, salt, id int) (*rand.Rand, *stream) {
-	src := new(stream)
+// newRand returns the sparse stream of (seed, salt, id) and a *rand.Rand
+// over it, whose draws are bit-identical to wrapping rand.NewSource of the
+// same seed.
+func newRand(seed int64, salt, id int) (*rand.Rand, *sparseStream) {
+	src := new(sparseStream)
 	src.Seed(streamSeed(seed, salt, id))
 	return rand.New(src), src
 }
@@ -334,7 +335,7 @@ func NewInjector(engine *sim.Engine, plan Plan, nodes int, hooks Hooks) (*Inject
 		plan:     plan,
 		hooks:    hooks,
 		crashRNG: make([]*rand.Rand, nodes),
-		crashSrc: make([]*stream, nodes),
+		crashSrc: make([]*sparseStream, nodes),
 		dropSrc:  make([]stream, nodes),
 		runs:     make([]dropRun, nodes),
 		downBy:   make([]downOwner, nodes),
@@ -358,8 +359,8 @@ func NewInjector(engine *sim.Engine, plan Plan, nodes int, hooks Hooks) (*Inject
 	if plan.Domains > 0 {
 		in.domainRNG = make([]*rand.Rand, plan.Domains)
 		in.partRNG = make([]*rand.Rand, plan.Domains)
-		in.domainSrc = make([]*stream, plan.Domains)
-		in.partSrc = make([]*stream, plan.Domains)
+		in.domainSrc = make([]*sparseStream, plan.Domains)
+		in.partSrc = make([]*sparseStream, plan.Domains)
 		in.partitioned = make([]bool, plan.Domains)
 		for d := 0; d < plan.Domains; d++ {
 			in.domainRNG[d], in.domainSrc[d] = newRand(plan.Seed, 3, d)

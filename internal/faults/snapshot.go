@@ -1,22 +1,26 @@
 package faults
 
 // This file holds the injector's snapshot/restore support for cluster
-// forking. Every fault stream's state is a value (see stream.go), so a
-// snapshot copies each stream (about 4.9 KB), the drop runs drawn ahead
-// with their calendar and period, the last drop set, and the ownership,
-// retirement and partition state; a restore copies them all back into the
-// live slices without allocating, and truncates the per-node slices so
-// workstations that joined after the snapshot vanish. The pending fault
-// timers themselves live in the engine's event queue and are restored by
-// the engine snapshot.
+// forking. Every fault stream's state is a value (see stream.go). A
+// snapshot copies each exchange-drop stream whole (about 4.9 KB) and each
+// sparse stream as a few words, plus a copy of its register only once it
+// has built one (past its 273rd value); with them it copies the drop runs
+// drawn ahead with their calendar and period, the last drop set, and the
+// ownership, retirement and partition state. A restore copies them all
+// back into the live slices, registers into the live registers, so one
+// snapshot can be restored any number of times; once every register it
+// needs exists, a restore allocates nothing. It truncates the per-node
+// slices so workstations that joined after the snapshot vanish. The
+// pending fault timers themselves live in the engine's event queue and
+// are restored by the engine snapshot.
 
 // Snapshot captures the injector's mutable state.
 type Snapshot struct {
-	crash  []stream
+	crash  []sparseStream
 	drop   []stream
-	mig    stream
-	domain []stream
-	part   []stream
+	mig    sparseStream
+	domain []sparseStream
+	part   []sparseStream
 
 	runs       []dropRun
 	calendar   [calendarSlots]int32
@@ -33,11 +37,11 @@ type Snapshot struct {
 // Snapshot captures the mutable state.
 func (in *Injector) Snapshot() *Snapshot {
 	return &Snapshot{
-		crash:       copyStreams(in.crashSrc),
+		crash:       saveStreams(in.crashSrc),
 		drop:        append([]stream(nil), in.dropSrc...),
-		mig:         *in.migSrc,
-		domain:      copyStreams(in.domainSrc),
-		part:        copyStreams(in.partSrc),
+		mig:         in.migSrc.save(),
+		domain:      saveStreams(in.domainSrc),
+		part:        saveStreams(in.partSrc),
 		runs:        append([]dropRun(nil), in.runs...),
 		calendar:    in.calendar,
 		period:      in.period,
@@ -50,11 +54,11 @@ func (in *Injector) Snapshot() *Snapshot {
 	}
 }
 
-// copyStreams copies the streams srcs point at.
-func copyStreams(srcs []*stream) []stream {
-	out := make([]stream, len(srcs))
+// saveStreams saves the streams srcs point at.
+func saveStreams(srcs []*sparseStream) []sparseStream {
+	out := make([]sparseStream, len(srcs))
 	for i, src := range srcs {
-		out[i] = *src
+		out[i] = src.save()
 	}
 	return out
 }
@@ -68,15 +72,15 @@ func (in *Injector) Restore(s *Snapshot) {
 	in.crashRNG = in.crashRNG[:n]
 	in.crashSrc = in.crashSrc[:n]
 	for i, src := range in.crashSrc {
-		*src = s.crash[i]
+		src.restore(&s.crash[i])
 	}
 	in.dropSrc = append(in.dropSrc[:0], s.drop...)
-	*in.migSrc = s.mig
+	in.migSrc.restore(&s.mig)
 	for d, src := range in.domainSrc {
-		*src = s.domain[d]
+		src.restore(&s.domain[d])
 	}
 	for d, src := range in.partSrc {
-		*src = s.part[d]
+		src.restore(&s.part[d])
 	}
 	in.runs = append(in.runs[:0], s.runs...)
 	in.calendar = s.calendar

@@ -61,8 +61,9 @@ go test ./internal/memory -run '^$' -fuzz FuzzReplayStall -fuzztime 10s
 # snapshot/restore.
 echo "== go test ./internal/faults -fuzz FuzzDropRefresh (10 s)"
 go test ./internal/faults -run '^$' -fuzz FuzzDropRefresh -fuzztime 10s
-# The fault streams' by-value generator: the same Int63s as math/rand's
-# source for any seed, and a copied value replays them.
+# The fault streams' register and seeded prefix: both give the same
+# Int63s as math/rand's source for any seed, across the prefix's end, and
+# a copy taken at any draw replays the rest, twice from one snapshot.
 echo "== go test ./internal/faults -fuzz FuzzStream (10 s)"
 go test ./internal/faults -run '^$' -fuzz FuzzStream -fuzztime 10s
 # Fault plans: Validate rejects or is idempotent, and a validated plan
